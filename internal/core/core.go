@@ -6,16 +6,17 @@
 // wakes and wins the race drains the queue (a busy period), releases the
 // lock and re-arms a short timeout TS; a thread that loses notes the busy
 // period, re-targets a random queue (multiqueue) and re-arms a long timeout
-// TL >> TS. All timeout, load-estimation and queue-selection decisions are
-// delegated to a sched.Policy, the same engine the live runtime in
-// internal/runtime uses — the twin only supplies the discrete-event
-// substrate underneath it.
+// TL >> TS. Every decision of that cycle — the fault gate, backup
+// re-targeting, timeouts, group home returns, placement — is made by the
+// cycle.Protocol the live runtime in internal/runtime drives too; the twin
+// only supplies the discrete-event substrate underneath it.
 package core
 
 import (
 	"fmt"
 
 	"metronome/internal/cpu"
+	"metronome/internal/cycle"
 	"metronome/internal/faults"
 	"metronome/internal/hrtimer"
 	"metronome/internal/nic"
@@ -90,13 +91,10 @@ type Config struct {
 	// work-stealing discipline reads occupancy from it. Nil keeps the hot
 	// path free of even the publishing branches' stores.
 	Bus *telemetry.Bus
-	// Faults, when set, is the deterministic fault-injection plane the run
-	// consults on its cycle path: dead threads park, stalled threads sleep
-	// through their windows, dark queues poll empty while their backlog
-	// builds, and frozen queues stop publishing telemetry. Flag flips arrive
-	// through ordinary engine events (faults.Schedule), so a faulted run
-	// stays a pure function of its seed. Nil keeps the hot path to one
-	// pointer test per wakeup.
+	// Faults, when set, is the fault-injection plane the cycle consults
+	// (see cycle.Protocol: dead threads park). Flag flips arrive through
+	// ordinary engine events (faults.Schedule), so a faulted run stays a
+	// pure function of its seed.
 	Faults *faults.Injector
 	// RingCap overrides the Rx descriptor-ring capacity of every queue the
 	// deployment *builders* construct (the facade's Simulate/
@@ -198,11 +196,8 @@ type Runtime struct {
 	Eng     *sim.Engine
 	Queues  []*nic.Queue
 	Acct    *cpu.Accounting
-	policy  sched.Policy
-	group   sched.GroupPolicy // non-nil when the policy binds service groups
-	dephase sched.Dephaser    // non-nil when the policy staggers group wakes
-	bus     *telemetry.Bus    // nil unless Cfg.Bus
-	faults  *faults.Injector  // nil unless Cfg.Faults
+	proto   cycle.Protocol // the cycle's decisions; the twin drives it
+	bus     *telemetry.Bus // nil unless Cfg.Bus
 	threads []*thread
 
 	// active is the current team size: threads[0:active] are serving,
@@ -278,7 +273,6 @@ func New(eng *sim.Engine, queues []*nic.Queue, cfg Config) *Runtime {
 		Eng:            eng,
 		Queues:         queues,
 		Acct:           cpu.NewAccounting(cfg.M),
-		policy:         sched.MustNew(PolicyName(cfg), policyConfig(cfg, len(queues))),
 		locked:         make([]bool, n),
 		lastRelease:    qfloats[0:n:n],
 		provisionedQ:   qfloats[n : 2*n : 2*n],
@@ -289,13 +283,22 @@ func New(eng *sim.Engine, queues []*nic.Queue, cfg Config) *Runtime {
 		CyclesQ:        qcounts[2*n : 3*n : 3*n],
 		CyclesByThread: make([]int64, cfg.M),
 	}
-	r.group, _ = r.policy.(sched.GroupPolicy)
-	r.dephase, _ = r.policy.(sched.Dephaser)
+	policy := sched.MustNew(PolicyName(cfg), sched.Config{
+		VBar:         cfg.VBar,
+		TL:           cfg.TL,
+		TSFixed:      cfg.TSFixed,
+		M:            cfg.M,
+		N:            n,
+		Alpha:        cfg.Alpha,
+		BackupSticky: cfg.BackupSticky,
+		Bus:          cfg.Bus,
+		Dephase:      cfg.Dephase,
+	})
+	r.proto = cycle.New(policy, n, cfg.Bus, cfg.Faults)
 	r.bus = cfg.Bus
-	r.faults = cfg.Faults
 	r.active = cfg.M
 	r.placement = make([]int, len(queues))
-	r.refreshPlacement()
+	r.proto.Placement(r.placement, r.active)
 	if r.bus != nil {
 		for q, queue := range queues {
 			r.bus.SetCapacity(q, float64(queue.Opt.Cap))
@@ -306,7 +309,7 @@ func New(eng *sim.Engine, queues []*nic.Queue, cfg Config) *Runtime {
 			// the staleness detector is supposed to see.
 			q := q
 			queue.LatSink = func(lat float64) {
-				if r.pubGauges(q) {
+				if r.proto.Publish(q) {
 					r.bus.RecordLatency(q, stats.SecondsToNs(lat))
 				}
 			}
@@ -380,21 +383,6 @@ func PolicyName(cfg Config) string {
 	return sched.NameFixed
 }
 
-// policyConfig projects the runtime configuration onto the policy engine's.
-func policyConfig(cfg Config, n int) sched.Config {
-	return sched.Config{
-		VBar:         cfg.VBar,
-		TL:           cfg.TL,
-		TSFixed:      cfg.TSFixed,
-		M:            cfg.M,
-		N:            n,
-		Alpha:        cfg.Alpha,
-		BackupSticky: cfg.BackupSticky,
-		Bus:          cfg.Bus,
-		Dephase:      cfg.Dephase,
-	}
-}
-
 // Start arms every active thread's first wakeup, de-phased across one
 // timeout so the start is not artificially synchronised (real threads
 // launch sequentially; the decorrelation of Sec. IV-B takes over from
@@ -412,7 +400,7 @@ func (r *Runtime) Start() {
 }
 
 // Policy exposes the scheduling discipline driving this runtime.
-func (r *Runtime) Policy() sched.Policy { return r.policy }
+func (r *Runtime) Policy() sched.Policy { return r.proto.Policy() }
 
 // TeamSize returns the current number of active retrieval threads.
 func (r *Runtime) TeamSize() int { return r.active }
@@ -430,20 +418,11 @@ func (r *Runtime) SetTeamSize(m int) int {
 	if m < len(r.Queues) {
 		m = len(r.Queues)
 	}
-	balanced := sched.BalancedPlacement(m, len(r.Queues))
-	if m == r.active && sched.PlacementEqual(r.placement, balanced) {
-		return r.active
-	}
-	return r.ApplyPlacement(balanced)
+	return r.ApplyPlacement(sched.BalancedPlacement(m, len(r.Queues)))
 }
 
-// CanPlace reports whether ApplyPlacement plans actually land per queue:
-// true only when the discipline binds placeable groups (sched.Rebalancer).
-// Roaming disciplines accept plans but degrade them to the total.
-func (r *Runtime) CanPlace() bool {
-	_, ok := r.policy.(sched.Rebalancer)
-	return ok
-}
+// CanPlace reports whether ApplyPlacement plans land per queue.
+func (r *Runtime) CanPlace() bool { return r.proto.CanPlace() }
 
 // ApplyPlacement adopts a full placement plan mid-run — the sim substrate
 // of the placement plane. perQueue[q] members are provisioned for queue q
@@ -458,13 +437,13 @@ func (r *Runtime) CanPlace() bool {
 // finishes any in-flight cycle, lets its pending timer fire once, and
 // parks. Active threads whose home queue moved migrate through ordinary
 // engine events — each finishes its current cycle and re-arms on its new
-// home via the existing GroupPolicy.HomeQueue return path — so a
-// rebalancing run stays deterministic at any experiment-harness
-// parallelism. The policy adopts the plan through sched.Rebalancer when it
-// can place (rmetronome/worksteal swap a complete home/rank/size layout
-// and republish eq. (13) per group) and through sched.Resizable otherwise;
-// per-queue provisioning integrals ∫r_q(t)dt accrue at the old plan up to
-// now and at the new plan afterwards.
+// home via the release step's home return — so a rebalancing run stays
+// deterministic at any experiment-harness parallelism. The policy adopts
+// the plan through cycle.Protocol.Adopt: the whole layout when it can
+// place (rmetronome/worksteal swap a complete home/rank/size layout and
+// republish eq. (13) per group), the total otherwise. Per-queue
+// provisioning integrals ∫r_q(t)dt accrue at the old plan up to now and at
+// the new plan afterwards.
 func (r *Runtime) ApplyPlacement(perQueue []int) int {
 	sizes, total := sched.NormalizePlacement(perQueue, len(r.Queues))
 	if total == r.active && sched.PlacementEqual(r.placement, sizes) {
@@ -477,12 +456,7 @@ func (r *Runtime) ApplyPlacement(perQueue []int) int {
 		th := r.addThread(nil)
 		th.retired, th.parked = true, true
 	}
-	switch p := r.policy.(type) {
-	case sched.Rebalancer:
-		p.SetPlacement(sizes)
-	case sched.Resizable:
-		p.SetTeamSize(total)
-	}
+	r.proto.Adopt(sizes, total)
 	for i, th := range r.threads {
 		wasParked := th.parked
 		th.retired = i >= total
@@ -494,26 +468,9 @@ func (r *Runtime) ApplyPlacement(perQueue []int) int {
 		// Start, nothing is armed here: Start arms whoever is active then.
 	}
 	r.active = total
-	r.refreshPlacement()
+	r.proto.Placement(r.placement, r.active)
 	r.Cfg.Recorder.RecordPlacement(r.Eng.Now(), r.active, sched.PackPlacement(r.placement))
 	return r.active
-}
-
-// refreshPlacement records what the discipline actually holds per queue:
-// the group sizes when the policy binds service groups, the balanced
-// split otherwise (non-group disciplines let threads roam, so balance is
-// the honest provisioning statement).
-func (r *Runtime) refreshPlacement() {
-	if g, ok := r.policy.(sched.Rebalancer); ok {
-		copy(r.placement, g.Placement())
-		return
-	}
-	for q := range r.placement {
-		r.placement[q] = 0
-	}
-	for i := 0; i < r.active; i++ {
-		r.placement[i%len(r.placement)]++
-	}
 }
 
 // accrueProvisioned folds the elapsed window into the total and per-queue
@@ -531,17 +488,14 @@ func (r *Runtime) accrueProvisioned(now float64) {
 // under the resize) and arm a de-phased first wake, like Start does.
 func (r *Runtime) unpark(th *thread) {
 	th.parked = false
-	th.queue = th.id % len(r.Queues)
-	if r.group != nil {
-		th.queue = r.group.HomeQueue(th.id)
-	}
+	th.queue = r.proto.Home(th.id)
 	r.armFirstWake(th)
 }
 
 // armFirstWake schedules a thread's first wakeup, de-phased across one
 // timeout so team changes do not synchronise the group.
 func (r *Runtime) armFirstWake(th *thread) {
-	first := th.rng.Uniform(0, r.policy.TS(th.queue)+1e-9)
+	first := th.rng.Uniform(0, r.TS(th.queue)+1e-9)
 	r.Eng.After(first, "metronome-first-wake", th.wakeFn)
 }
 
@@ -619,13 +573,13 @@ func (r *Runtime) Residency(now, wall float64, budget int) power.Residency {
 
 // Group exposes the shared-queue extension of the policy, or nil when the
 // discipline does not bind service groups.
-func (r *Runtime) Group() sched.GroupPolicy { return r.group }
+func (r *Runtime) Group() sched.GroupPolicy { return r.proto.Group() }
 
 // TS returns the current short timeout of queue q (for sampling hooks).
-func (r *Runtime) TS(q int) float64 { return r.policy.TS(q) }
+func (r *Runtime) TS(q int) float64 { return r.proto.Policy().TS(q) }
 
 // Rho returns the current load estimate of queue q.
-func (r *Runtime) Rho(q int) float64 { return r.policy.Rho(q) }
+func (r *Runtime) Rho(q int) float64 { return r.proto.Policy().Rho(q) }
 
 // MuEffective returns the service rate after frequency scaling.
 func (r *Runtime) MuEffective() float64 { return r.Cfg.Mu * r.Cfg.FreqScale }
@@ -635,61 +589,32 @@ func (r *Runtime) BusyTryFraction() float64 {
 	return stats.Ratio(r.BusyTries.Value, r.Tries.Value)
 }
 
-// pubGauges reports whether queue q's telemetry gauges should publish this
-// event: a bus is attached and the fault plane has not frozen the queue's
-// telemetry (a frozen queue keeps serving — only its gauges go stale, which
-// is exactly the brownout the controller's health layer must survive).
-func (r *Runtime) pubGauges(q int) bool {
-	return r.bus != nil && (r.faults == nil || !r.faults.TelemetryFrozen(q))
-}
-
-// ThreadHome returns the queue thread id is homed on under the current
-// placement: the group layout's home when the discipline binds service
-// groups, the balanced modulo assignment otherwise. The elastic health
-// layer uses it to aim corrective plans at an unhealthy member's queue.
-func (r *Runtime) ThreadHome(id int) int {
-	if r.group != nil {
-		return r.group.HomeQueue(id)
-	}
-	return id % len(r.Queues)
-}
+// ThreadHome returns thread id's home queue, where the elastic health
+// layer aims corrective plans for an unhealthy member.
+func (r *Runtime) ThreadHome(id int) int { return r.proto.Home(id) }
 
 // wakeup is the body of Listing 2: trylock, drain-or-flee, re-arm.
 func (r *Runtime) wakeup(th *thread) {
-	if th.retired {
-		// The elastic control plane removed this thread from the team: its
-		// pending timer fires one last time and the thread parks instead
-		// of contending (a retired thread never holds a lock here — a
-		// serving thread re-arms through finishCycle, which parks first).
+	now := r.Eng.Now()
+	switch v, until := r.proto.Gate(th.id, th.retired, now); v {
+	case cycle.Retired, cycle.Dead:
+		// The pending timer fires one last time and the thread parks; an
+		// ApplyPlacement that covers the id un-parks (and so revives) it.
 		th.parked = true
 		return
+	case cycle.Stalled:
+		r.Eng.At(until, "metronome-stall-resume", th.wakeFn)
+		return
 	}
-	if f := r.faults; f != nil {
-		if f.Dead(th.id) {
-			// Thread death: the pending timer fires one last time and the
-			// thread parks for good. Revival goes through the placement path
-			// (an ApplyPlacement un-park arms a fresh wake).
-			th.parked = true
-			return
-		}
-		if until, ok := f.StalledUntil(th.id); ok && r.Eng.Now() < until {
-			// Stall: the thread sleeps through its service turns until the
-			// window ends, without contending or re-tuning anything.
-			r.Eng.At(until, "metronome-stall-resume", th.wakeFn)
-			return
-		}
-	}
-	now := r.Eng.Now()
 	r.Acct.AddBusy(th.id, r.Cfg.WakeCost)
 	r.Tries.Inc()
 	q := th.queue
 	r.TriesQ[q]++
 	if r.locked[q] {
-		// Busy try: another thread owns the queue. Become backup; pick a
-		// random queue for the next attempt (Sec. IV-E) and sleep TL.
+		// Busy try: another thread owns the queue.
 		r.BusyTries.Inc()
 		r.BusyTriesQ[q]++
-		if r.pubGauges(q) {
+		if r.proto.Publish(q) {
 			// The queue is mid-service, so Occupancy reads the fluid
 			// model's last slice boundary without advancing arrivals.
 			r.bus.SetOccupancy(q, r.Queues[q].Occupancy(now))
@@ -700,39 +625,28 @@ func (r *Runtime) wakeup(th *thread) {
 		if r.Cfg.Tracer != nil {
 			r.Cfg.Tracer.Wake(now, th.id, q, false)
 		}
-		th.queue = r.policy.PickBackupQueue(q, th.rng)
-		tl := r.policy.TL(q)
-		if r.dephase != nil {
-			// A colliding group member re-spreads onto the rotation clock
-			// (no-op for foreign re-targets).
-			tl = r.dephase.Dephase(th.id, th.queue, tl, true)
-		}
-		r.sleepTraced(th, tl, true)
+		var tl float64
+		th.queue, tl = r.proto.Lost(th.id, q, th.rng)
+		r.sleep(th, tl, true)
 		return
 	}
-	// Lock won: serve the queue. Shared-queue disciplines additionally
-	// claim the queue's service turn; sequential execution means the claim
-	// cannot fail here (see sched.GroupPolicy — in the live runtime the
-	// claim runs before the trylock as an admission filter), so in the twin
-	// the counter is an exact tally of the service turns each queue began.
-	if r.group != nil {
-		r.group.ClaimTurn(q)
-	}
+	// Lock won: serve the queue. The turn claim comes after the lock check
+	// here, where it cannot fail, so Turns(q) is an exact tally of the
+	// service turns each queue began.
+	r.proto.ClaimTurn(q)
 	if r.Cfg.Tracer != nil {
 		r.Cfg.Tracer.Wake(now, th.id, q, true)
 	}
 	r.locked[q] = true
 	queue := r.Queues[q]
-	if r.faults != nil {
-		// Blackout sync: flip the fluid model's dark bit to match the
-		// injector before the poll, so a dark queue sees nv=0 while its
-		// backlog accrues and a recovered one surfaces the backlog now.
-		queue.SetDark(now, r.faults.QueueDark(q))
-	}
+	// Blackout sync: flip the fluid model's dark bit to match the fault
+	// plane before the poll, so a dark queue sees nv=0 while its backlog
+	// accrues and a recovered one surfaces the backlog now.
+	queue.SetDark(now, r.proto.Dark(q))
 	th.vacation = now - r.lastRelease[q]
 	th.serviceStart = now
 	nv := queue.BeginService(now, r.noisyMu(th))
-	if r.pubGauges(q) {
+	if r.proto.Publish(q) {
 		// N_V is the wake-time occupancy: the signal the elastic
 		// controller holds at target and the work-stealing backup ranking
 		// reacts to within one vacation.
@@ -781,9 +695,9 @@ func (r *Runtime) serveSlices(th *thread, sliceStart float64) {
 	r.Eng.At(end, "metronome-release", th.releaseFn)
 }
 
-// finishCycle releases the lock, hands the cycle to the policy engine —
-// which folds it into the load estimate and re-evaluates TS — and puts the
-// thread back to sleep as the (new) primary of this queue.
+// finishCycle releases the lock, hands the cycle to the protocol's release
+// step — which folds it into the load estimate, re-evaluates TS and returns
+// a backup home — and puts the thread back to sleep.
 func (r *Runtime) finishCycle(th *thread) {
 	q := th.queue
 	now := th.sliceEnd
@@ -793,14 +707,14 @@ func (r *Runtime) finishCycle(th *thread) {
 	r.Cycles.Inc()
 	r.CyclesQ[q]++
 	r.CyclesByThread[th.id]++
-	ts := r.policy.ObserveCycle(q, busy, th.vacation)
+	next, ts := r.proto.Release(th.id, q, busy, th.vacation)
 	if r.Cfg.OnCycle != nil {
 		r.Cfg.OnCycle(q, th.vacation, busy)
 	}
 	if r.Cfg.Tracer != nil {
 		r.Cfg.Tracer.Release(now, th.id, q, busy)
 	}
-	if r.pubGauges(q) {
+	if r.proto.Publish(q) {
 		queue := r.Queues[q]
 		r.bus.SetOccupancy(q, 0) // drained by construction of EndService
 		if dt := now - r.occIntAt[q]; dt > 0 {
@@ -811,46 +725,30 @@ func (r *Runtime) finishCycle(th *thread) {
 			r.occIntLast[q] = integ
 			r.occIntAt[q] = now
 		}
-		r.bus.SetRho(q, r.policy.Rho(q))
 		r.bus.SetDrops(q, uint64(queue.Drops))
 		r.bus.SetRx(q, uint64(queue.RxPackets))
-		r.bus.SetThreadBusy(th.id, r.Acct.Busy(th.id))
-		r.bus.BumpPub(q)
 	}
-	if r.bus != nil {
-		// The heartbeat publishes even when the queue's gauges are frozen:
-		// staleness is a property of the telemetry path, liveness of the
-		// thread — the health layer tells them apart by which one moves.
-		r.bus.SetHeartbeat(th.id, now)
-	}
+	r.proto.Released(th.id, q, r.Acct.Busy(th.id), now)
 	if th.retired {
 		// Retired mid-service: the cycle completed cleanly, now park
 		// instead of re-arming (see SetTeamSize).
 		th.parked = true
 		return
 	}
-	// Shared-queue disciplines keep service groups stable: a member that
-	// served a foreign queue as backup returns home and re-arms its home
-	// queue's member timeout, so each group actually holds the size its
-	// eq. (13) timeout assumes.
-	if r.group != nil {
-		if home := r.group.HomeQueue(th.id); home != q {
-			th.queue = home
-			ts = r.policy.TS(home)
-		}
-	}
-	if r.dephase != nil {
-		ts = r.dephase.Dephase(th.id, th.queue, ts, false)
-	}
-	r.sleepTraced(th, ts, false)
+	th.queue = next
+	r.sleep(th, ts, false)
 }
 
 // sleep re-arms th's wakeup after the requested timeout plus the sampled
-// sleep-service and scheduler overheads. A zero timeout (the busypoll
-// discipline) never enters the sleep service: the thread loops straight
-// into its next trylock after exactly the wake-path work it is charged, so
-// a poller accounts ~100% CPU like Listing 1.
-func (r *Runtime) sleep(th *thread, req float64) {
+// sleep-service and scheduler overheads; backup marks a TL (lost-race)
+// sleep for the tracer. A zero timeout (the busypoll discipline) never
+// enters the sleep service: the thread loops straight into its next
+// trylock after exactly the wake-path work it is charged, so a poller
+// accounts ~100% CPU like Listing 1.
+func (r *Runtime) sleep(th *thread, req float64, backup bool) {
+	if r.Cfg.Tracer != nil {
+		r.Cfg.Tracer.Sleep(r.Eng.Now(), th.id, req, backup)
+	}
 	if req <= 0 {
 		// Floor the loop iteration like the wake model floors delays:
 		// with WakeCost configured to zero the engine must still advance,
@@ -867,13 +765,6 @@ func (r *Runtime) sleep(th *thread, req float64) {
 	}
 	delay := th.wake.Delay(req, th.core)
 	r.Eng.After(delay, "metronome-wake", th.wakeFn)
-}
-
-func (r *Runtime) sleepTraced(th *thread, req float64, backup bool) {
-	if r.Cfg.Tracer != nil {
-		r.Cfg.Tracer.Sleep(r.Eng.Now(), th.id, req, backup)
-	}
-	r.sleep(th, req)
 }
 
 // Metrics summarises a finished run over a wall-clock window.

@@ -155,16 +155,6 @@ type Config struct {
 	// Only the feedback error feeds the integral — feedforward cannot wind
 	// it up, so a crested ramp unwinds at the plain PI rate.
 	SlopeGain float64
-	// AvgOcc switches the occupancy input of the size and placement laws
-	// from the point-in-time gauge to the substrate's time-averaged gauge
-	// (telemetry OccAvg: the occupancy integral over the publisher's
-	// accounting window in the sim, a time-constant EWMA in the live
-	// runtime). The point gauge aliases on Metronome's cycle phase — it
-	// reads N_V at a wake and zero right after a release — which is why the
-	// controller layers its own EWMA on top; the averaged gauge removes the
-	// alias at the source. Default off: the shipped fig-elastic and
-	// fig-placement tunings were calibrated against the point gauge.
-	AvgOcc bool
 	// SlopeAlpha is the EWMA smoothing of the per-queue occupancy signals
 	// (default 0.25). It governs BOTH smoothed views of the sampled
 	// occupancy: the slope EWMA the feedforward reads (republished to the
@@ -723,15 +713,11 @@ func (c *Controller) recordTick(d *Decision) {
 }
 
 // occFraction reads queue q's sampled occupancy as a fraction of its ring
-// capacity (zero when the capacity was never published). With AvgOcc set it
-// reads the substrate's time-averaged gauge instead of the point sample.
+// capacity (zero when the capacity was never published).
 func (c *Controller) occFraction(q int) float64 {
 	cp := c.snap.Cap[q]
 	if cp <= 0 {
 		return 0
-	}
-	if c.cfg.AvgOcc {
-		return c.snap.OccAvg[q] / cp
 	}
 	return c.snap.Occ[q] / cp
 }

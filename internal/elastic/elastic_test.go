@@ -436,32 +436,6 @@ func TestArrivalRateGaugePublished(t *testing.T) {
 	}
 }
 
-func TestAvgOccSignalSwitch(t *testing.T) {
-	// With AvgOcc the controller must read the time-averaged gauge and
-	// ignore the point sample entirely.
-	bus := telemetry.NewBus(2, 8)
-	bus.SetCapacity(0, 4096)
-	bus.SetCapacity(1, 4096)
-	team := &fakeTeam{size: 2, floor: 2}
-	cfg := DefaultConfig(2, 8)
-	cfg.AvgOcc = true
-	c := New(bus, team, cfg)
-	c.Tick(0)
-	// Point gauge screams, averaged gauge is calm: no growth.
-	bus.SetOccupancy(1, 0.9*4096)
-	bus.SetOccAvg(1, 0.05*4096)
-	d := c.Tick(0.001)
-	if d.Resized {
-		t.Fatalf("grew on the point gauge despite AvgOcc: %+v", d)
-	}
-	// Averaged gauge spikes: growth.
-	bus.SetOccAvg(1, 0.5*4096)
-	d = c.Tick(0.002)
-	if d.Applied <= 2 {
-		t.Fatalf("no growth on averaged-occupancy spike: %+v", d)
-	}
-}
-
 func newObjectiveRig(obj Objective, start int) (*telemetry.Bus, *fakeTeam, *Controller) {
 	bus := telemetry.NewBus(2, 8)
 	bus.SetCapacity(0, 4096)

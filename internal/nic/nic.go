@@ -420,7 +420,3 @@ func (q *Queue) Fill(t float64, n float64) {
 	q.syncIdle(t)
 	q.addArrivals(n)
 }
-
-// NewRngFor derives a queue-local RNG from a parent seed, giving each queue
-// an independent stream.
-func NewRngFor(parent *xrand.Rand) *xrand.Rand { return parent.Split() }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"metronome/internal/apps"
+	"metronome/internal/cycle"
 	"metronome/internal/faults"
 	"metronome/internal/hrtimer"
 	"metronome/internal/mbuf"
@@ -166,13 +167,9 @@ type Config struct {
 	// plane samples it; the work-stealing discipline reads occupancy from
 	// it. Producers should AddDrops/AddRx on it for loss visibility.
 	Bus *telemetry.Bus
-	// Faults, when set, is the deterministic fault-injection plane the
-	// retrieval goroutines consult on their cycle path: dead threads park in
-	// a revival-polling sleep, stalled threads sleep through their windows
-	// (stall bounds are seconds on the Elapsed clock), dark queues win their
-	// lock but skip the drain while the ring backs up, and frozen queues
-	// stop publishing telemetry. Nil keeps the hot path to one pointer test
-	// per wakeup.
+	// Faults, when set, is the fault-injection plane the cycle consults
+	// (see cycle.Protocol: dead threads poll for revival in TL sleeps).
+	// Stall windows are seconds on the Elapsed clock.
 	Faults *faults.Injector
 	// Dephase enables turn-aware wake de-phasing in the shared-queue
 	// disciplines (see sched.Dephaser).
@@ -223,9 +220,10 @@ type queueState struct {
 	lastRelease atomic.Int64 // nanotime of last lock release
 }
 
-// Runner drives M goroutines over N shared queues. Timeout selection, load
-// estimation and backup queue choice live in the sched.Policy — the same
-// engine the discrete-event twin in internal/core runs on. The team is
+// Runner drives M goroutines over N shared queues. Every decision of the
+// cycle — the fault gate, timeouts, load estimation, backup queue choice,
+// group home returns, placement — lives in a cycle.Protocol, the same one
+// the discrete-event twin in internal/core drives. The team is
 // elastic: SetTeamSize spawns or parks retrieval goroutines mid-run (the
 // live substrate of internal/elastic).
 type Runner struct {
@@ -234,14 +232,11 @@ type Runner struct {
 	handler Handler               // generic burst path (New)
 	procs   []apps.BurstProcessor // per-queue application path (NewProc)
 	emit    EmitFunc              // burst disposal for the processor path
-	policy  sched.Policy
-	group   sched.GroupPolicy // non-nil when the policy binds service groups
-	dephase sched.Dephaser    // non-nil when the policy staggers group wakes
-	bus     *telemetry.Bus    // nil unless Config.Bus
-	faults  *faults.Injector  // nil unless Config.Faults
-	rec     *obsv.Recorder    // nil unless Config.Recorder
-	lens    []func() int      // per-queue occupancy probes (nil if unknowable)
-	occAt   []atomic.Int64    // per-queue nanotime of the last OccAvg fold
+	proto   cycle.Protocol        // the cycle's decisions; threadLoop drives it
+	bus     *telemetry.Bus        // nil unless Config.Bus
+	rec     *obsv.Recorder        // nil unless Config.Recorder
+	lens    []func() int          // per-queue occupancy probes (nil if unknowable)
+	occAt   []atomic.Int64        // per-queue nanotime of the last OccAvg fold
 	state   []queueState
 	Stats   Stats
 
@@ -306,38 +301,32 @@ func newRunner(queues []RxQueue, handler Handler, procs []apps.BurstProcessor, e
 	if cfg.M < len(queues) {
 		cfg.M = len(queues) // every queue deserves a primary (Sec. IV-E)
 	}
-	name := cfg.Policy
-	if name == "" {
-		if cfg.TSFixed > 0 {
-			name = sched.NameFixed
-		} else {
-			name = sched.NameAdaptive
-		}
+	name := cfg.Policy // empty selects adaptive
+	if name == "" && cfg.TSFixed > 0 {
+		name = sched.NameFixed
 	}
+	policy := sched.MustNew(name, sched.Config{
+		VBar:    cfg.VBar.Seconds(),
+		TL:      cfg.TL.Seconds(),
+		TSFixed: cfg.TSFixed.Seconds(),
+		M:       cfg.M,
+		N:       len(queues),
+		Alpha:   cfg.Alpha,
+		Bus:     cfg.Bus,
+		Dephase: cfg.Dephase,
+	})
 	r := &Runner{
-		cfg:     cfg,
-		queues:  queues,
-		handler: handler,
-		procs:   procs,
-		emit:    emit,
-		policy: sched.MustNew(name, sched.Config{
-			VBar:    cfg.VBar.Seconds(),
-			TL:      cfg.TL.Seconds(),
-			TSFixed: cfg.TSFixed.Seconds(),
-			M:       cfg.M,
-			N:       len(queues),
-			Alpha:   cfg.Alpha,
-			Bus:     cfg.Bus,
-			Dephase: cfg.Dephase,
-		}),
+		cfg:      cfg,
+		queues:   queues,
+		handler:  handler,
+		procs:    procs,
+		emit:     emit,
+		proto:    cycle.New(policy, len(queues), cfg.Bus, cfg.Faults),
+		bus:      cfg.Bus,
+		rec:      cfg.Recorder,
 		state:    make([]queueState, len(queues)),
 		resizeCh: make(chan struct{}),
 	}
-	r.group, _ = r.policy.(sched.GroupPolicy)
-	r.dephase, _ = r.policy.(sched.Dephaser)
-	r.bus = cfg.Bus
-	r.faults = cfg.Faults
-	r.rec = cfg.Recorder
 	r.teamSize.Store(int32(cfg.M))
 	// Occupancy probes: any queue exposing Len (RxRing does) feeds the
 	// telemetry plane; opaque sources simply stay dark on that signal.
@@ -388,13 +377,13 @@ func (r *Runner) publishOcc(q int, now int64) {
 }
 
 // Policy exposes the scheduling discipline driving this runner.
-func (r *Runner) Policy() sched.Policy { return r.policy }
+func (r *Runner) Policy() sched.Policy { return r.proto.Policy() }
 
 // Rho returns queue q's current load estimate.
-func (r *Runner) Rho(q int) float64 { return r.policy.Rho(q) }
+func (r *Runner) Rho(q int) float64 { return r.proto.Policy().Rho(q) }
 
 // TS returns queue q's current short timeout.
-func (r *Runner) TS(q int) time.Duration { return seconds(r.policy.TS(q)) }
+func (r *Runner) TS(q int) time.Duration { return seconds(r.proto.Policy().TS(q)) }
 
 // seconds converts the policy engine's float64 seconds to a Duration.
 func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
@@ -454,10 +443,10 @@ func (r *Runner) SetTeamSize(m int) int {
 // Growth spawns goroutines past the high-water mark and wakes parked ones
 // via a closed-channel broadcast; shrinkage lets surplus goroutines finish
 // their current cycle and park. The policy adopts the plan through
-// sched.Rebalancer when it can place (rmetronome/worksteal swap a complete
-// home/rank/size layout behind one atomic pointer) and through
-// sched.Resizable otherwise. Members whose home moved re-home through the
-// existing cycle-end return path without dropping claimed turns: the
+// cycle.Protocol.Adopt: the whole layout when it can place (rmetronome/
+// worksteal swap a complete home/rank/size layout behind one atomic
+// pointer), the total otherwise. Members whose home moved re-home through
+// the existing cycle-end return path without dropping claimed turns: the
 // per-queue CAS turn counters live outside the layout and survive the
 // swap, so a member that claimed a turn before the rebalance still serves
 // it, then re-arms on its new home. Safe to call before Run and from any
@@ -473,16 +462,11 @@ func (r *Runner) ApplyPlacement(perQueue []int) int {
 	}
 	r.resizeMu.Lock()
 	defer r.resizeMu.Unlock()
-	if total == int(r.teamSize.Load()) && r.placementUnchangedLocked(sizes) {
+	if total == int(r.teamSize.Load()) && r.proto.Holds(sizes) {
 		return total
 	}
 	r.teamSize.Store(int32(total))
-	switch p := r.policy.(type) {
-	case sched.Rebalancer:
-		p.SetPlacement(sizes)
-	case sched.Resizable:
-		p.SetTeamSize(total)
-	}
+	r.proto.Adopt(sizes, total)
 	if r.running {
 		for id := r.spawned; id < total; id++ {
 			r.spawnLocked(id)
@@ -499,32 +483,15 @@ func (r *Runner) ApplyPlacement(perQueue []int) int {
 	return total
 }
 
-// placementUnchangedLocked reports whether sizes matches the placement the
-// policy currently holds; non-placing policies only carry the total, which
-// the caller already compared.
-func (r *Runner) placementUnchangedLocked(sizes []int) bool {
-	rb, ok := r.policy.(sched.Rebalancer)
-	if !ok {
-		return true
-	}
-	return sched.PlacementEqual(rb.Placement(), sizes)
-}
-
-// CanPlace reports whether ApplyPlacement plans actually land per queue:
-// true only when the discipline binds placeable groups (sched.Rebalancer).
-// Roaming disciplines accept plans but degrade them to the total.
-func (r *Runner) CanPlace() bool {
-	_, ok := r.policy.(sched.Rebalancer)
-	return ok
-}
+// CanPlace reports whether ApplyPlacement plans land per queue.
+func (r *Runner) CanPlace() bool { return r.proto.CanPlace() }
 
 // Placement returns the per-queue member counts currently in effect (the
 // policy's group sizes when it places, the balanced split otherwise).
 func (r *Runner) Placement() []int {
-	if rb, ok := r.policy.(sched.Rebalancer); ok {
-		return rb.Placement()
-	}
-	return sched.BalancedPlacement(r.TeamSize(), len(r.queues))
+	out := make([]int, len(r.queues))
+	r.proto.Placement(out, r.TeamSize())
+	return out
 }
 
 // park blocks goroutine id until a resize re-admits it or ctx ends; it
@@ -565,21 +532,9 @@ func (r *Runner) Elapsed() float64 {
 	return time.Since(start).Seconds()
 }
 
-// pubGauges reports whether queue q's telemetry gauges should publish: a bus
-// is attached and the fault plane has not frozen the queue's telemetry.
-func (r *Runner) pubGauges(q int) bool {
-	return r.bus != nil && (r.faults == nil || !r.faults.TelemetryFrozen(q))
-}
-
-// ThreadHome returns the queue goroutine id is homed on under the current
-// placement — the target the elastic health layer aims corrective plans at
-// when it exiles an unhealthy member.
-func (r *Runner) ThreadHome(id int) int {
-	if r.group != nil {
-		return r.group.HomeQueue(id)
-	}
-	return id % len(r.queues)
-}
+// ThreadHome returns goroutine id's home queue, where the elastic health
+// layer aims corrective plans for an unhealthy member.
+func (r *Runner) ThreadHome(id int) int { return r.proto.Home(id) }
 
 // threadLoop is Listing 2 on a goroutine.
 func (r *Runner) threadLoop(ctx context.Context, id int) {
@@ -607,68 +562,50 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 	q := id % len(r.queues)
 	var busyTotal time.Duration // cumulative on-CPU time, published as duty
 	for ctx.Err() == nil {
-		if id >= int(r.teamSize.Load()) {
-			// Elastically retired: finish nothing (we hold no lock here),
-			// return any cached buffers to the shared pool, park until a
-			// resize re-admits us, then re-home — the group layout may have
-			// moved while we were out.
+		now := r.nanotime()
+		switch v, until := r.proto.Gate(id, id >= int(r.teamSize.Load()), time.Duration(now).Seconds()); v {
+		case cycle.Retired:
+			// We hold no lock here: return cached buffers to the shared
+			// pool, park until a resize re-admits us, then re-home.
 			recycle.Flush()
 			if !r.park(ctx, id) {
 				return
 			}
-			q = id % len(r.queues)
-			if r.group != nil {
-				q = r.group.HomeQueue(id)
-			}
+			q = r.proto.Home(id)
+			continue
+		case cycle.Dead:
+			// The heartbeat freezes, but polling the flag lets a revival
+			// resume service without a placement round-trip.
+			r.cfg.Sleeper.Sleep(seconds(r.proto.Policy().TL(q)))
+			continue
+		case cycle.Stalled:
+			r.cfg.Sleeper.Sleep(seconds(until) - time.Duration(now))
 			continue
 		}
-		if f := r.faults; f != nil {
-			if f.Dead(id) {
-				// Thread death: stop cycling (the heartbeat freezes, which is
-				// how the health layer notices) but keep polling the flag so
-				// a revival resumes service without a placement round-trip.
-				r.cfg.Sleeper.Sleep(seconds(r.policy.TL(q)))
-				continue
-			}
-			if until, ok := f.StalledUntil(id); ok {
-				if now := r.Elapsed(); now < until {
-					// Stall: sleep through the window without contending.
-					r.cfg.Sleeper.Sleep(seconds(until - now))
-					continue
-				}
-			}
-		}
 		r.Stats.Tries.Add(1)
-		if r.pubGauges(q) {
+		if r.proto.Publish(q) {
 			r.bus.AddTries(q, 1)
 		}
-		// Shared-queue disciplines CAS-claim the queue's service turn
-		// before touching its trylock: a failed claim proves a sibling
-		// claimed a turn concurrently, so this thread is surplus for the
-		// turn and backs off without bouncing the lock's cache line (the
-		// short-circuit skips the trylock). Either way a busy try means
-		// the policy re-targets the thread for its backup timeout.
+		// The turn claim runs before the trylock as an admission filter: a
+		// failed claim proves a sibling claimed a turn concurrently, so this
+		// thread is surplus for the turn and backs off without bouncing the
+		// lock's cache line (the short-circuit skips the trylock).
 		st := &r.state[q]
-		if (r.group != nil && !r.group.ClaimTurn(q)) || !st.lock.CompareAndSwap(false, true) {
+		if !r.proto.ClaimTurn(q) || !st.lock.CompareAndSwap(false, true) {
 			r.Stats.BusyTries.Add(1)
-			if r.pubGauges(q) {
+			if r.proto.Publish(q) {
 				r.bus.AddBusyTries(q, 1)
-				r.publishOcc(q, r.nanotime())
+				r.publishOcc(q, now)
 				r.bus.BumpPub(q)
 			}
-			tl := r.policy.TL(q)
-			q = r.policy.PickBackupQueue(q, rng)
-			if r.dephase != nil {
-				// A colliding group member re-spreads onto the rotation
-				// clock (no-op for foreign re-targets).
-				tl = r.dephase.Dephase(id, q, tl, true)
-			}
+			var tl float64
+			q, tl = r.proto.Lost(id, q, rng)
 			r.cfg.Sleeper.Sleep(seconds(tl))
 			continue
 		}
 		began := r.nanotime()
 		vacation := time.Duration(began - st.lastRelease.Load())
-		if r.pubGauges(q) {
+		if r.proto.Publish(q) {
 			// Occupancy samples BEFORE the drain. The cycle below is
 			// work-conserving — it polls until empty — so an end-of-cycle
 			// sample reads the same just-drained phase every time and the
@@ -679,7 +616,7 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 			// overload.
 			r.publishOcc(q, began)
 		}
-		dark := r.faults != nil && r.faults.QueueDark(q)
+		dark := r.proto.Dark(q)
 		for !dark {
 			// A dark queue's lock winner skips the drain entirely: the poll
 			// "sees" an empty ring while the producer keeps enqueuing, so the
@@ -691,7 +628,7 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 			}
 			r.Stats.Packets.Add(uint64(n))
 			r.Stats.Bursts.Add(1)
-			if r.pubGauges(q) {
+			if r.proto.Publish(q) {
 				r.bus.AddRx(q, uint64(n))
 				// Per-packet retrieval latency into the bus histogram: one
 				// monotonic-clock read per burst, one atomic add per stamped
@@ -722,39 +659,16 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 		ended := r.nanotime()
 		busy := time.Duration(ended - began)
 
-		// Hand the cycle to the policy engine: it folds it into the load
-		// estimate (eq. 11) and returns the re-evaluated TS (eq. 13/14).
-		// Only the lock holder observes a queue's cycles, which is the
-		// serialisation ObserveCycle requires.
-		ts := r.policy.ObserveCycle(q, busy.Seconds(), vacation.Seconds())
+		// Hand the cycle to the release step while still holding the lock:
+		// only the lock holder observes a queue's cycles, which is the
+		// serialisation the policy's load estimate requires.
+		next, ts := r.proto.Release(id, q, busy.Seconds(), vacation.Seconds())
 		st.lastRelease.Store(ended)
 		r.Stats.Cycles.Add(1)
 		st.lock.Store(false)
-		if r.bus != nil {
-			busyTotal += busy
-			if r.pubGauges(q) {
-				r.bus.SetRho(q, r.policy.Rho(q))
-				r.bus.SetThreadBusy(id, busyTotal.Seconds())
-				r.bus.BumpPub(q)
-			}
-			// The heartbeat publishes even through a telemetry freeze:
-			// staleness is a property of the queue's gauges, liveness of the
-			// thread — the health layer tells them apart by which one moves.
-			r.bus.SetHeartbeat(id, time.Duration(ended).Seconds())
-		}
-
-		// Shared-queue disciplines keep service groups stable: a member
-		// that served a foreign queue as backup returns home and re-arms
-		// its home queue's member timeout.
-		if r.group != nil {
-			if home := r.group.HomeQueue(id); home != q {
-				q = home
-				ts = r.policy.TS(home)
-			}
-		}
-		if r.dephase != nil {
-			ts = r.dephase.Dephase(id, q, ts, false)
-		}
+		busyTotal += busy
+		r.proto.Released(id, q, busyTotal.Seconds(), time.Duration(ended).Seconds())
+		q = next
 		r.cfg.Sleeper.Sleep(seconds(ts))
 	}
 }

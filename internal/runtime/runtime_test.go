@@ -405,7 +405,7 @@ func TestRMetronomeLiveEndToEnd(t *testing.T) {
 			}
 		}
 		r := New(bench.queues, handler, Config{M: 4, VBar: 100 * time.Microsecond, Seed: 6, Policy: policy})
-		if r.group == nil {
+		if r.proto.Group() == nil {
 			t.Fatalf("%s: runner has no GroupPolicy", policy)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -422,7 +422,7 @@ func TestRMetronomeLiveEndToEnd(t *testing.T) {
 		if processed.Load() != uint64(sent) {
 			t.Fatalf("%s: processed %d of %d", policy, processed.Load(), sent)
 		}
-		turns := r.group.Turns(0) + r.group.Turns(1)
+		turns := r.proto.Group().Turns(0) + r.proto.Group().Turns(1)
 		if turns == 0 {
 			t.Fatalf("%s: no service turns claimed", policy)
 		}

@@ -105,10 +105,10 @@ type Policy interface {
 
 // GroupPolicy is an optional Policy extension for shared-queue disciplines
 // that bind threads into stable per-queue service groups and arbitrate
-// service turns with an explicit claim. Both execution substrates probe for
-// it with a type assertion: when present, a thread that finishes a cycle on
-// a foreign queue returns to its home queue, and the wake path consults
-// ClaimTurn. In the live runtime the claim runs *before* the queue trylock
+// service turns with an explicit claim. The cycle protocol both execution
+// substrates drive (internal/cycle) probes for it once: when present, a
+// thread that finishes a cycle on a foreign queue returns to its home
+// queue, and the wake path consults ClaimTurn. In the live runtime the claim runs *before* the queue trylock
 // as a cheap admission filter (a failed CAS proves a sibling claimed a
 // turn concurrently, so the thread goes straight to the backup path without
 // bouncing the queue's lock cache line); in the sequential sim twin the
@@ -248,12 +248,12 @@ func PlacementEqual(a, b []int) bool {
 }
 
 // Dephaser is an optional Policy extension for disciplines that stagger a
-// member's next wake within its service group. Both substrates pass every
-// home-queue sleep through Dephase when the policy implements it — the
-// release-path sleep after a completed cycle (backup false) and the
-// backoff after a lost race (backup true, with a service in progress that
-// the adjusted sleep should ride out). A policy without an opinion
-// returns ts unchanged.
+// member's next wake within its service group. The cycle protocol
+// (internal/cycle) passes every sleep through Dephase when the policy
+// implements it — the release-path sleep after a completed cycle (backup
+// false) and the backoff after a lost race (backup true, with a service in
+// progress that the adjusted sleep should ride out). A policy without an
+// opinion returns ts unchanged.
 type Dephaser interface {
 	// Dephase returns the possibly adjusted sleep for thread's next wake
 	// on queue q, given the policy-computed timeout ts.
