@@ -315,6 +315,9 @@ func (q *Queue) ServeSlice(maxDur float64) (done bool, end float64) {
 		}
 		q.occ += net
 		if q.occ < 0 {
+			// The slice's service capacity outran its backlog: only what
+			// was there was served.
+			servedWant += q.occ
 			q.occ = 0
 		}
 	}
