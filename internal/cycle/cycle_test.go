@@ -65,6 +65,7 @@ func TestProtocolSteps(t *testing.T) {
 		policy string
 		build  func(sched.Config) sched.Policy // overrides policy when set
 		m, n   int
+		plan   []int // adopted before the script when set
 		tweak  func(*sched.Config)
 		setup  func(f *faults.Injector, b *telemetry.Bus)
 		script []obs
@@ -112,6 +113,14 @@ func TestProtocolSteps(t *testing.T) {
 			// r = 1 member per queue: TL is one member timeout.
 			script: []obs{{kind: "lost", id: 1, q: 0}},
 			want:   []act{{next: 3, sleep: model.TSForTarget(vbar, 0, 1)}},
+		},
+		{
+			// Groups of 3 and 1: TL is the lost queue's rotation r_q·TS,
+			// not the re-target's.
+			name: "lost: worksteal under an uneven plan sleeps the lost queue's TL", policy: "worksteal", m: 4, n: 2,
+			plan:   []int{3, 1},
+			script: []obs{{kind: "lost", id: 1, q: 1}},
+			want:   []act{{next: 0, sleep: model.TSForTarget(vbar, 0, 1)}},
 		},
 		{
 			name: "lost and release: busypoll never sleeps", policy: "busypoll", m: 3, n: 2,
@@ -176,6 +185,9 @@ func TestProtocolSteps(t *testing.T) {
 				tc.setup(inj, bus)
 			}
 			p := cycle.New(pol, tc.n, bus, inj)
+			if tc.plan != nil {
+				p.Adopt(tc.plan, tc.plan[0]+tc.plan[1])
+			}
 			rng := xrand.New(7)
 			for i, o := range tc.script {
 				var got act
@@ -209,6 +221,21 @@ func TestProtocolTelemetryAndDarkGates(t *testing.T) {
 	}
 	if p.Dark(0) || !p.Dark(1) {
 		t.Fatalf("only queue 1 is dark: got %v %v", p.Dark(0), p.Dark(1))
+	}
+	// Released: the frozen queue's gauges hold, the heartbeat moves anyway.
+	bus := telemetry.NewBus(2, 3)
+	p = cycle.New(pol, 2, bus, inj)
+	pol.Estimator().Set(0, 0.4)
+	pol.Estimator().Set(1, 0.3)
+	p.Released(2, 0, 1.5, 7.0)
+	if bus.PubSeq(0) != 0 || bus.Rho(0) != 0 || bus.ThreadBusy(2) != 0 || bus.Heartbeat(2) != 7.0 {
+		t.Fatalf("frozen release: pub %d rho %v duty %v heartbeat %v",
+			bus.PubSeq(0), bus.Rho(0), bus.ThreadBusy(2), bus.Heartbeat(2))
+	}
+	p.Released(1, 1, 2.5, 8.0)
+	if bus.PubSeq(1) != 1 || bus.Rho(1) != 0.3 || bus.ThreadBusy(1) != 2.5 || bus.Heartbeat(1) != 8.0 {
+		t.Fatalf("live release: pub %d rho %v duty %v heartbeat %v",
+			bus.PubSeq(1), bus.Rho(1), bus.ThreadBusy(1), bus.Heartbeat(1))
 	}
 }
 
