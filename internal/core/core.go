@@ -97,11 +97,11 @@ type Config struct {
 	// pure function of its seed.
 	Faults *faults.Injector
 	// RingCap overrides the Rx descriptor-ring capacity of every queue the
-	// deployment *builders* construct (the facade's Simulate/
-	// SimulateElastic and the experiment harness; zero keeps each builder's
-	// default). core.New itself receives already-built queues and ignores
-	// it — the field rides on Config so one knob (metrosim -cap) reaches
-	// every construction site. The elastic occupancy target is a fraction
+	// deployment builder (experiments.Deploy, behind the facade's
+	// Simulate* entries and every experiment) constructs; zero keeps the
+	// nic default. core.New itself receives already-built queues and
+	// ignores it — the field rides on Config so one knob (metrosim -cap)
+	// reaches every deployment. The elastic occupancy target is a fraction
 	// of this capacity, so a smaller ring makes the target finer-grained.
 	RingCap int64
 	// Dephase enables turn-aware wake de-phasing in the shared-queue
@@ -535,6 +535,30 @@ func (r *Runtime) ResetProvisioned(now float64) {
 		r.provisionedQ[q] = 0
 	}
 	r.provAt = now
+}
+
+// ResetWindow opens a fresh measurement window at now — the warm-up
+// reset: queue statistics, the trylock/cycle counters with their
+// per-queue and per-thread splits, CPU accounting, the provisioned
+// integrals and the bus latency histograms all restart, so a Snapshot
+// afterwards covers [now, ...) only. Controller and policy state are
+// untouched: the deployment keeps running as it was.
+func (r *Runtime) ResetWindow(now float64) {
+	for _, q := range r.Queues {
+		q.Reset(now)
+	}
+	r.Tries.Value, r.BusyTries.Value, r.Cycles.Value = 0, 0, 0
+	clear(r.TriesQ)
+	clear(r.BusyTriesQ)
+	clear(r.CyclesQ)
+	clear(r.CyclesByThread)
+	r.Acct = cpu.NewAccounting(r.ThreadCount())
+	r.ResetProvisioned(now)
+	if r.bus != nil {
+		for q := range r.Queues {
+			r.bus.ResetLatency(q)
+		}
+	}
 }
 
 // Residency aggregates the team's sleep-state residency over the

@@ -573,3 +573,60 @@ func TestBusLatencyHistogramMatchesExactSample(t *testing.T) {
 		}
 	}
 }
+
+// TestResetWindowZeroesSnapshot pins the warm-up reset: a Snapshot taken
+// right after ResetWindow reads an empty window — zero counts, zero CPU,
+// zero provisioning, an empty latency plane — and the deployment keeps
+// serving into the new window.
+func TestResetWindowZeroesSnapshot(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.M = 4
+	cfg.Seed = 5
+	cfg.Bus = telemetry.NewBus(2, cfg.M)
+	eng := sim.New()
+	opt := nic.DefaultOptions()
+	opt.TagProb = 0.05
+	queues := []*nic.Queue{
+		nic.NewQueue(0, traffic.CBR{PPS: 6e6}, xrand.New(1), opt),
+		nic.NewQueue(1, traffic.CBR{PPS: 2e6}, xrand.New(2), opt),
+	}
+	r := New(eng, queues, cfg)
+	r.Start()
+	eng.RunUntil(0.02)
+	if m := r.Snapshot(0.02); m.Cycles == 0 || m.Tries == 0 || m.CPUPercent == 0 {
+		t.Fatalf("warm-up served nothing: %+v", m)
+	}
+
+	now := eng.Now()
+	r.ResetWindow(now)
+	m := r.Snapshot(0.01)
+	if m.Tries != 0 || m.BusyTries != 0 || m.Cycles != 0 ||
+		m.RxPackets != 0 || m.Served != 0 || m.Drops != 0 || m.Latency.N != 0 {
+		t.Fatalf("counts survived the reset: %+v", m)
+	}
+	if m.CPUPercent != 0 {
+		t.Fatalf("CPU survived the reset: %.3f%%", m.CPUPercent)
+	}
+	for _, xs := range [][]int64{m.CyclesQ, r.TriesQ, r.BusyTriesQ, r.CyclesByThread} {
+		for i, v := range xs {
+			if v != 0 {
+				t.Fatalf("per-queue/per-thread split [%d] = %d after reset", i, v)
+			}
+		}
+	}
+	if ts := r.ProvisionedThreadSeconds(now); ts != 0 {
+		t.Fatalf("provisioned integral = %v after reset", ts)
+	}
+	var h stats.LogHistogram
+	for q := range queues {
+		cfg.Bus.SampleLatency(q, &h)
+	}
+	if h.N() != 0 {
+		t.Fatalf("bus latency histograms hold %d samples after reset", h.N())
+	}
+
+	eng.RunUntil(now + 0.01)
+	if m := r.Snapshot(0.01); m.Cycles == 0 || m.CPUPercent == 0 {
+		t.Fatalf("deployment stopped serving after the reset: %+v", m)
+	}
+}

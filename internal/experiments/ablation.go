@@ -127,7 +127,8 @@ func runAblBackup(o Options) []*Table {
 		for i, s := range shares {
 			procs[i] = traffic.CBR{PPS: xl710Rate * s}
 		}
-		rt, m := runMetronome(runSpec{cfg: cfg, procs: procs, dur: d, warmup: d * 0.2, seed: seed})
+		cfg.Seed = seed
+		rt, m, _ := Deploy(procs, Deployment{Cfg: cfg, Dur: d, Warmup: d * 0.2})
 		maxRho := 0.0
 		for q := range procs {
 			if rt.Rho(q) > maxRho {
@@ -222,13 +223,12 @@ func runAblTxBatch(o Options) []*Table {
 		if batch == 1 {
 			cfg.Mu *= 0.97
 		}
-		_, m := runMetronome(runSpec{
-			cfg:    cfg,
-			policy: overridePolicy(o, cfg),
-			optFn:  func(opt *nic.Options) { opt.TxBatch = batch },
-			procs:  []traffic.Process{traffic.CBR{PPS: traffic.Rate64B(1)}},
-			dur:    d, warmup: d * 0.2,
-			seed: o.Seed + uint64(1340+batch),
+		overridePolicy(o, &cfg)
+		cfg.Seed = o.Seed + uint64(1340+batch)
+		_, m, _ := Deploy([]traffic.Process{traffic.CBR{PPS: traffic.Rate64B(1)}}, Deployment{
+			Cfg:   cfg,
+			optFn: func(opt nic.Options) nic.Options { opt.TxBatch = batch; return opt },
+			Dur:   d, Warmup: d * 0.2,
 		})
 		return []string{
 			fmt.Sprintf("%d", batch), us(m.Latency.Mean), us(m.LatencyStd), us(m.Latency.Max), pct(m.CPUPercent),

@@ -96,15 +96,10 @@ func runFig11(o Options) []*Table {
 		gov, gbps, i := govs[j/len(gbpss)], gbpss[j%len(gbpss)], j%len(gbpss)
 		pps := traffic.Rate64B(gbps)
 		cfg := core.DefaultConfig()
-		spec := runSpec{
-			cfg:    cfg,
-			policy: overridePolicy(o, cfg),
-			procs:  []traffic.Process{traffic.CBR{PPS: pps}},
-			dur:    d,
-			warmup: d * 0.2,
-			seed:   o.Seed + uint64(600+i),
-		}
-		met, watts, freq := governorPower(pc, gov, spec)
+		overridePolicy(o, &cfg)
+		cfg.Seed = o.Seed + uint64(600+i)
+		spec := Deployment{Cfg: cfg, Dur: d, Warmup: d * 0.2}
+		met, watts, freq := governorPower(pc, gov, []traffic.Process{traffic.CBR{PPS: pps}}, spec)
 		// CPU accounting convention matches the paper: under ondemand
 		// the same work takes more of a slower core.
 		return [2][]string{

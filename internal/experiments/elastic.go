@@ -6,7 +6,10 @@ import (
 	"metronome/internal/core"
 	"metronome/internal/elastic"
 	"metronome/internal/nic"
+	"metronome/internal/obsv"
 	"metronome/internal/sched"
+	"metronome/internal/stats"
+	"metronome/internal/telemetry"
 	"metronome/internal/traffic"
 )
 
@@ -19,13 +22,80 @@ func init() {
 	})
 }
 
-// elasticMode is one comparison arm: a static team of m threads, or an
-// elastic team governed by ecfg.
-type elasticMode struct {
+// arm is one comparison arm of the elastic-family figures (fig-elastic,
+// fig-faults, fig-power, fig-placement): a team of m threads under policy,
+// static when ecfg is nil and elastic under ecfg otherwise. rec, when
+// non-nil, attaches a flight recorder to the arm's control plane
+// (recording is passive, so the arm's physics are unchanged).
+type arm struct {
 	name   string
 	m      int
 	policy string
 	ecfg   *elastic.Config
+	rec    *obsv.Recorder
+}
+
+// armRun is one arm's finished deployment.
+type armRun struct {
+	arm
+	rt  *core.Runtime
+	met core.Metrics
+	rep elastic.Report
+}
+
+// runArms runs every arm over the same day — per-queue processes procs, a
+// d-second window after warmup — on the family's shared deployment: a
+// noisy host, V̄=15us, 4096-descriptor rings, and telemetry on for static
+// arms too so bus-driven policies (worksteal) see live occupancy in every
+// mode. Arm i runs at seed(i); tune, when set, adjusts arm i's deployment
+// last. Results come back in arm order at any -parallel.
+func runArms(o Options, arms []arm, procs []traffic.Process, d, warmup float64, seed func(i int) uint64, tune func(i int, s *Deployment)) []armRun {
+	return parMap(o, len(arms), func(i int) armRun {
+		a := arms[i]
+		cfg := core.DefaultConfig()
+		cfg.M = a.m
+		cfg.VBar = 15e-6
+		cfg.Policy = a.policy
+		cfg.Seed = seed(i)
+		cfg.Recorder = a.rec
+		noisyHost(&cfg)
+		if a.ecfg == nil {
+			cfg.Bus = telemetry.NewBus(len(procs), a.m)
+		}
+		s := Deployment{
+			Cfg:     cfg,
+			Dur:     d,
+			Warmup:  warmup,
+			Elastic: a.ecfg,
+			optFn:   func(opt nic.Options) nic.Options { opt.Cap = 4096; return opt },
+		}
+		if tune != nil {
+			tune(i, &s)
+		}
+		rt, met, rep := Deploy(procs, s)
+		return armRun{arm: a, rt: rt, met: met, rep: rep}
+	})
+}
+
+// perArm seeds arm i at base+i: independent noise draws per arm.
+func perArm(base uint64) func(int) uint64 {
+	return func(i int) uint64 { return base + uint64(i) }
+}
+
+// paired seeds every arm at base: identical traffic and wake-delay-tail
+// realisations, so the rows are a paired comparison of pure actuation
+// policy, not of noise draws.
+func paired(base uint64) func(int) uint64 {
+	return func(int) uint64 { return base }
+}
+
+// renderRows renders one table row per element with a column renderer.
+func renderRows[T any](xs []T, cells func(T) []string) [][]string {
+	rows := make([][]string, len(xs))
+	for i, x := range xs {
+		rows[i] = cells(x)
+	}
+	return rows
 }
 
 // elasticTuning is the controller tuning the experiment ships: wake-time
@@ -47,77 +117,57 @@ func noisyHost(cfg *core.Config) {
 	cfg.Wake.TailProb = 1e-3
 }
 
-// elasticSpec assembles one arm over the given per-queue processes.
-func elasticSpec(policy string, m int, procs []traffic.Process, d, warmup float64, seed uint64, ecfg *elastic.Config) runSpec {
-	cfg := core.DefaultConfig()
-	cfg.M = m
-	cfg.VBar = 15e-6
-	cfg.Policy = policy
-	noisyHost(&cfg)
-	return runSpec{
-		cfg:     cfg,
-		optFn:   func(opt *nic.Options) { opt.Cap = 4096 },
-		procs:   procs,
-		dur:     d,
-		warmup:  warmup,
-		seed:    seed,
-		elastic: ecfg,
-		// Telemetry rides along even for static arms so bus-driven
-		// policies (worksteal) see live occupancy in every mode.
-		telemetry: true,
+// elasticCells renders one fig-elastic arm: loss/CPU/vacation on the
+// left, the provisioning account on the right.
+func elasticCells(r armRun) []string {
+	return []string{
+		r.name,
+		permille(r.met.LossRate),
+		pct(r.met.CPUPercent),
+		pct(r.met.BusyTryFrac * 100),
+		us(r.met.MeanVacation),
+		f1(r.rep.ThreadSeconds * 1e3), // thread-milliseconds: readable at these windows
+		f2(r.rep.MeanThreads),
+		fmt.Sprintf("%d..%d", r.rep.MinThreads, r.rep.MaxThreads),
+		fmt.Sprintf("%d", r.rep.Resizes),
 	}
 }
 
-// elasticResult is one arm's rendered row plus its exact-histogram
-// latency-tail cells (read off the telemetry bus after the run).
-type elasticResult struct {
-	row   []string
-	tails []string
-}
+// tailColumns are the exact-histogram latency-tail cells appended by the
+// experiments that render tail panels; values are microseconds read from
+// the bus histograms (bucket upper edges, ≤3.2% wide — see stats.LogHistogram).
+var tailColumns = []string{"p50_us", "p99_us", "p999_us", "p9999_us", "lmax_us"}
 
-// elasticRow renders one arm: loss/CPU/vacation on the left, the
-// provisioning account on the right, tails carried separately.
-func elasticRow(mode elasticMode, procs []traffic.Process, d, warmup float64, seed uint64) elasticResult {
-	rt, met, rep := runMetronomeElastic(elasticSpec(mode.policy, mode.m, procs, d, warmup, seed, mode.ecfg))
-	return elasticResult{
-		row: []string{
-			mode.name,
-			permille(met.LossRate),
-			pct(met.CPUPercent),
-			pct(met.BusyTryFrac * 100),
-			us(met.MeanVacation),
-			f1(rep.ThreadSeconds * 1e3), // thread-milliseconds: readable at these windows
-			f2(rep.MeanThreads),
-			fmt.Sprintf("%d..%d", rep.MinThreads, rep.MaxThreads),
-			fmt.Sprintf("%d", rep.Resizes),
-		},
-		tails: append([]string{mode.name}, tailCells(rt, len(procs))...),
+// tailCells folds every queue's bus histogram into one deployment-wide
+// distribution and renders the arm's tail quantiles. The histograms were
+// reset at warm-up, so the cells cover the measured window exactly —
+// every per-packet retrieval latency, no reservoir thinning.
+func tailCells(r armRun) []string {
+	row := []string{r.name, "-", "-", "-", "-", "-"}
+	bus := r.rt.Cfg.Bus
+	if bus == nil {
+		return row
 	}
-}
-
-// elasticRows splits results into the main-table rows.
-func elasticRows(results []elasticResult) [][]string {
-	rows := make([][]string, len(results))
-	for i, r := range results {
-		rows[i] = r.row
+	var h stats.LogHistogram
+	for q := range r.rt.Queues {
+		bus.SampleLatency(q, &h)
 	}
-	return rows
-}
-
-// elasticTails splits results into the tail-panel rows.
-func elasticTails(results []elasticResult) [][]string {
-	rows := make([][]string, len(results))
-	for i, r := range results {
-		rows[i] = r.tails
+	if h.N() == 0 {
+		return row
 	}
-	return rows
+	at := func(p float64) string { return us(float64(h.Quantile(p)) * 1e-9) }
+	return []string{r.name, at(0.5), at(0.99), at(0.999), at(0.9999), us(float64(h.Max()) * 1e-9)}
 }
 
-// tailsTable renders a figure's exact-histogram tail panel: per-packet
+// tailsTable renders a figure's exact-histogram tail panel — per-packet
 // retrieval latency quantiles over the measured window, from the bus
-// histograms rather than the thinned reservoir sample.
-func tailsTable(id, title string, rows [][]string) *Table {
-	return &Table{
+// histograms rather than the thinned reservoir sample — unless the
+// Options-level -hist override dropped the tail panels.
+func tailsTable(o Options, id, title string, rows [][]string) []*Table {
+	if o.NoHist {
+		return nil
+	}
+	return []*Table{{
 		ID:      id,
 		Title:   title,
 		Columns: append([]string{"mode"}, tailColumns...),
@@ -125,7 +175,7 @@ func tailsTable(id, title string, rows [][]string) *Table {
 		Notes: []string{
 			"exact log-scale histogram quantiles (bucket upper edges, <=3.2% wide) over every measured packet — not a reservoir sample",
 		},
-	}
+	}}
 }
 
 var elasticColumns = []string{
@@ -145,20 +195,16 @@ func runElastic(o Options) []*Table {
 			After: traffic.Step{At: 0.9 * d, Before: traffic.CBR{PPS: hi},
 				After: traffic.CBR{PPS: lo}}}
 	}
-	crowdProcs := []traffic.Process{crowd(0), crowd(1)}
-	crowdModes := []elasticMode{
+	crowdRuns := runArms(o, []arm{
 		{name: "static-2", m: 2, policy: sched.NameAdaptive},
 		{name: "static-8", m: 8, policy: sched.NameAdaptive},
 		{name: "elastic-2..8", m: 2, policy: sched.NameAdaptive, ecfg: elasticTuning(2, 8)},
-	}
-	crowdResults := parMap(o, len(crowdModes), func(i int) elasticResult {
-		return elasticRow(crowdModes[i], crowdProcs, d, warmup, o.Seed+uint64(1500+i))
-	})
+	}, []traffic.Process{crowd(0), crowd(1)}, d, warmup, perArm(o.Seed+1500), nil)
 	flash := &Table{
 		ID:      "fig-elastic-flash",
 		Title:   "flash crowd (4 -> 28 -> 4 Mpps over 2 queues), noisy host, V̄=15us",
 		Columns: elasticColumns,
-		Rows:    elasticRows(crowdResults),
+		Rows:    renderRows(crowdRuns, elasticCells),
 		Notes: []string{
 			"static-2 overflows the 4096-descriptor rings on wake-delay tails at the peak; static-8 survives it but provisions 8 threads for the whole window",
 			"elastic grows on the occupancy/loss PI only while the crowd is in, so it matches static-8's loss at a fraction of the thread-seconds",
@@ -168,23 +214,19 @@ func runElastic(o Options) []*Table {
 	// Panel 2 — diurnal sine: the day/night curve compressed into the
 	// run, 1 to 15 Mpps per queue, under the shared-queue discipline.
 	day := 0.625 * d
-	sineProcs := []traffic.Process{
-		traffic.Sine{Base: 8e6, Amp: 7e6, Period: day},
-		traffic.Sine{Base: 8e6, Amp: 7e6, Period: day},
-	}
-	sineModes := []elasticMode{
+	sineRuns := runArms(o, []arm{
 		{name: "static-2", m: 2, policy: sched.NameRMetronome},
 		{name: "static-8", m: 8, policy: sched.NameRMetronome},
 		{name: "elastic-2..8", m: 2, policy: sched.NameRMetronome, ecfg: elasticTuning(2, 8)},
-	}
-	sineResults := parMap(o, len(sineModes), func(i int) elasticResult {
-		return elasticRow(sineModes[i], sineProcs, d, warmup, o.Seed+uint64(1520+i))
-	})
+	}, []traffic.Process{
+		traffic.Sine{Base: 8e6, Amp: 7e6, Period: day},
+		traffic.Sine{Base: 8e6, Amp: 7e6, Period: day},
+	}, d, warmup, perArm(o.Seed+1520), nil)
 	diurnal := &Table{
 		ID:      "fig-elastic-diurnal",
 		Title:   "diurnal sine (1..15 Mpps per queue), rmetronome groups, V̄=15us",
 		Columns: elasticColumns,
-		Rows:    elasticRows(sineResults),
+		Rows:    renderRows(sineRuns, elasticCells),
 		Notes: []string{
 			"the controller's mean_M rides the sine: r = M/N group sizes recompute online through sched.Resizable",
 		},
@@ -199,22 +241,18 @@ func runElastic(o Options) []*Table {
 			Before: traffic.CBR{PPS: 24e6 * before},
 			After:  traffic.CBR{PPS: 24e6 * after}}
 	}
-	shiftProcs := []traffic.Process{
-		share(0.6, 0.2), share(0.2, 0.2), share(0.2, 0.6),
-	}
-	shiftModes := []elasticMode{
+	shiftRuns := runArms(o, []arm{
 		{name: "rmetronome-static-6", m: 6, policy: sched.NameRMetronome},
 		{name: "worksteal-static-6", m: 6, policy: sched.NameWorkSteal},
 		{name: "worksteal-elastic-3..6", m: 3, policy: sched.NameWorkSteal, ecfg: elasticTuning(3, 6)},
-	}
-	shiftResults := parMap(o, len(shiftModes), func(i int) elasticResult {
-		return elasticRow(shiftModes[i], shiftProcs, d, warmup, o.Seed+uint64(1540+i))
-	})
+	}, []traffic.Process{
+		share(0.6, 0.2), share(0.2, 0.2), share(0.2, 0.6),
+	}, d, warmup, perArm(o.Seed+1540), nil)
 	shift := &Table{
 		ID:      "fig-elastic-shift",
 		Title:   "unbalanced shift (60% hot flow migrates queue 0 -> 2 mid-run), 3 queues",
 		Columns: elasticColumns,
-		Rows:    elasticRows(shiftResults),
+		Rows:    renderRows(shiftRuns, elasticCells),
 		Notes: []string{
 			"worksteal re-targets lost-race threads at the occupancy-hottest queue straight off the telemetry bus, so backup capacity follows the migration within a vacation",
 			"the hot flow never leaves, so the controller converges to the static provisioning instead of undercutting it — elastic only wins thread-seconds while demand actually varies",
@@ -222,12 +260,7 @@ func runElastic(o Options) []*Table {
 	}
 
 	tables := []*Table{flash, diurnal, shift}
-	if !o.NoHist {
-		tables = append(tables,
-			tailsTable("fig-elastic-tails-flash", "flash crowd — exact latency tails", elasticTails(crowdResults)),
-			tailsTable("fig-elastic-tails-diurnal", "diurnal sine — exact latency tails", elasticTails(sineResults)),
-			tailsTable("fig-elastic-tails-shift", "unbalanced shift — exact latency tails", elasticTails(shiftResults)),
-		)
-	}
-	return tables
+	tables = append(tables, tailsTable(o, "fig-elastic-tails-flash", "flash crowd — exact latency tails", renderRows(crowdRuns, tailCells))...)
+	tables = append(tables, tailsTable(o, "fig-elastic-tails-diurnal", "diurnal sine — exact latency tails", renderRows(sineRuns, tailCells))...)
+	return append(tables, tailsTable(o, "fig-elastic-tails-shift", "unbalanced shift — exact latency tails", renderRows(shiftRuns, tailCells))...)
 }

@@ -16,14 +16,12 @@ import (
 	"sync/atomic"
 
 	"metronome/internal/core"
-	"metronome/internal/cpu"
 	"metronome/internal/elastic"
 	"metronome/internal/faults"
 	"metronome/internal/nic"
 	"metronome/internal/obsv"
 	"metronome/internal/power"
 	"metronome/internal/sim"
-	"metronome/internal/stats"
 	"metronome/internal/telemetry"
 	"metronome/internal/traffic"
 	"metronome/internal/xrand"
@@ -234,116 +232,100 @@ as the whole reproduction with headline quantities as benchmark metrics.
 
 // --- shared runners --------------------------------------------------------
 
-// runSpec describes one simulated Metronome deployment.
-type runSpec struct {
-	cfg    core.Config
-	policy string             // sched policy name; overrides cfg.Policy when set
-	optFn  func(*nic.Options) // per-queue option tweaks (nil = defaults)
-	procs  []traffic.Process  // one per queue
-	dur    float64
-	warmup float64
-	seed   uint64
-	// telemetry attaches a telemetry bus even without a controller, so
-	// bus-driven policies (worksteal occupancy ranking) get live signals.
-	telemetry bool
-	// elastic attaches the occupancy-driven control plane: a bus, a
-	// controller and an engine ticker at the configured control period.
-	elastic *elastic.Config
-	// faults schedules the deterministic fault plane into the run: an
-	// injector sized to the deployment (elastic budget included) is wired
-	// into the core config and the events fire as ordinary engine events,
-	// so a faulted sweep stays byte-identical at any -parallel. A
-	// ControllerDown event suppresses the elastic ticker until ControllerUp.
-	faults []faults.Event
+// Deployment describes one simulated Metronome deployment. Deploy is the
+// one place a sim deployment is wired: the facade's Simulate* entries and
+// every experiment build through it.
+type Deployment struct {
+	// Cfg configures the runtime. Cfg.Seed seeds the per-queue arrival
+	// streams and the threads alike; a Cfg.Bus set by the caller attaches
+	// telemetry without a controller (bus-driven policies such as
+	// worksteal's occupancy ranking read it), and Cfg.Recorder rides every
+	// control-plane source the deployment wires.
+	Cfg core.Config
+	// Dur is the measured window and Warmup the lead-in before it, both in
+	// virtual seconds; every windowed stat resets at the warm-up boundary.
+	Dur, Warmup float64
+	// Elastic attaches the occupancy-driven control plane: a bus sized for
+	// the budget (replacing Cfg.Bus), a controller and an engine ticker at
+	// its control period. MinThreads defaults to one per queue and
+	// Recorder to Cfg.Recorder.
+	Elastic *elastic.Config
+	// Faults schedules the deterministic fault plane into the run: an
+	// injector sized to the deployment (elastic budget included) replaces
+	// Cfg.Faults and the events fire as ordinary engine events, so a
+	// faulted sweep stays byte-identical at any -parallel. A
+	// ControllerDown event suppresses the elastic ticker until
+	// ControllerUp.
+	Faults []faults.Event
+
+	// optFn tweaks every queue's options after the Cfg.RingCap override
+	// (nil = defaults), so experiment-pinned ring shapes win over -cap.
+	optFn func(nic.Options) nic.Options
 	// hook observes the wired deployment before the clock runs — the fault
 	// experiments register their recovery probes (engine tickers sampling
 	// ring state) through it.
-	hook func(eng *sim.Engine, r *core.Runtime, queues []*nic.Queue)
-	// recorder, when set, attaches the observability plane's flight
-	// recorder to every control-plane source in the deployment (substrate
-	// placements, elastic decisions, fault flips) and resets it at the
-	// warm-up boundary like every other windowed stat, so decision-trace
-	// panels cover the measurement window only.
-	recorder *obsv.Recorder
+	hook func(r *core.Runtime)
 }
 
-// overridePolicy yields the Options-level discipline override for a
-// deployment, unless the experiment pinned its own (an explicit Policy
-// name, or the legacy fixed-TS fields).
-func overridePolicy(o Options, cfg core.Config) string {
+// overridePolicy applies the Options-level discipline override to cfg,
+// unless the experiment pinned its own (an explicit Policy name, or the
+// legacy fixed-TS fields).
+func overridePolicy(o Options, cfg *core.Config) {
 	if cfg.Policy == "" && cfg.Adaptive {
-		return o.Policy
+		cfg.Policy = o.Policy
 	}
-	return ""
 }
 
-// runMetronome executes the spec and snapshots metrics over the
-// post-warm-up window.
-func runMetronome(s runSpec) (*core.Runtime, core.Metrics) {
-	r, m, _ := runMetronomeElastic(s)
-	return r, m
-}
-
-// runMetronomeElastic is runMetronome plus the elastic control plane: when
-// the spec asks for one, a telemetry bus is attached to the deployment, a
-// controller drives the team from an engine ticker (pure virtual-time
-// events, so elastic sweeps stay byte-identical at any -parallel), and the
-// returned report carries the provisioning account. Static deployments get
-// a synthesized report (M threads for the whole window) so elastic and
+// Deploy runs the deployment over procs, one arrival process per queue,
+// and snapshots metrics over the post-warm-up window. With a controller
+// attached it drives the team from an engine ticker (pure virtual-time
+// events, so elastic sweeps stay byte-identical at any -parallel) and the
+// report carries its provisioning account; static deployments get a
+// synthesized report (M threads for the whole window) so elastic and
 // static rows are comparable in one table.
-func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report) {
-	if s.policy != "" {
-		s.cfg.Policy = s.policy
-	}
-	if s.recorder != nil {
-		s.cfg.Recorder = s.recorder
-	}
-	if s.elastic != nil || s.telemetry {
-		budget := s.cfg.M
-		if s.elastic != nil && s.elastic.Budget > budget {
-			budget = s.elastic.Budget
-		}
-		s.cfg.Bus = telemetry.NewBus(len(s.procs), budget)
+//
+// procs travels apart from s because escape analysis is field-insensitive:
+// s's config pointers reach the heap, and a slice riding beside them would
+// drag every caller's arrival slice there too (BENCH_simulate's alloc gate
+// counts it).
+func Deploy(procs []traffic.Process, s Deployment) (*core.Runtime, core.Metrics, elastic.Report) {
+	budget := s.Cfg.M
+	if s.Elastic != nil {
+		budget = max(budget, s.Elastic.Budget)
+		s.Cfg.Bus = telemetry.NewBus(len(procs), budget)
 	}
 	var inj *faults.Injector
-	if len(s.faults) > 0 {
-		slots := s.cfg.M
-		if s.elastic != nil && s.elastic.Budget > slots {
-			slots = s.elastic.Budget
-		}
-		inj = faults.New(slots, len(s.procs))
-		s.cfg.Faults = inj
+	if len(s.Faults) > 0 {
+		inj = faults.New(budget, len(procs))
+		s.Cfg.Faults = inj
 	}
 	eng := sim.New()
-	root := xrand.New(s.seed)
-	queues := make([]*nic.Queue, len(s.procs))
-	for i, p := range s.procs {
+	root := xrand.New(s.Cfg.Seed)
+	queues := make([]*nic.Queue, len(procs))
+	for i, p := range procs {
 		opt := nic.DefaultOptions()
-		if s.cfg.RingCap > 0 {
-			opt.Cap = s.cfg.RingCap
+		if s.Cfg.RingCap > 0 {
+			opt.Cap = s.Cfg.RingCap
 		}
 		if s.optFn != nil {
-			// Experiment-pinned ring shapes win over the Options-level
-			// -cap override.
-			s.optFn(&opt)
+			opt = s.optFn(opt)
 		}
 		queues[i] = nic.NewQueue(i, p, root.Split(), opt)
 	}
-	s.cfg.Seed = s.seed
-	r := core.New(eng, queues, s.cfg)
+	r := core.New(eng, queues, s.Cfg)
 	r.Start()
 	var ctrl *elastic.Controller
-	if s.elastic != nil {
-		ec := *s.elastic
+	if s.Elastic != nil {
+		ec := *s.Elastic
 		if ec.MinThreads == 0 {
-			ec.MinThreads = len(s.procs)
+			ec.MinThreads = len(procs)
 		}
-		if s.recorder != nil {
-			ec.Recorder = s.recorder
+		if ec.Recorder == nil {
+			ec.Recorder = s.Cfg.Recorder
 		}
 		// Construct after Start: the controller's initial clamp resizes
 		// through the live resize path, never double-arming first wakes.
-		ctrl = elastic.New(s.cfg.Bus, r, ec)
+		ctrl = elastic.New(s.Cfg.Bus, r, ec)
 		eng.Ticker(ctrl.Config().Period, "elastic-tick", func() {
 			if inj != nil && inj.ControllerSuppressed() {
 				return
@@ -352,57 +334,35 @@ func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report
 		})
 	}
 	if inj != nil {
-		obsv.AttachFaults(inj, s.recorder) // no-op when no recorder is wired
-		faults.Schedule(eng, inj, s.faults)
+		obsv.AttachFaults(inj, s.Cfg.Recorder) // no-op when no recorder is wired
+		faults.Schedule(eng, inj, s.Faults)
 	}
 	if s.hook != nil {
-		s.hook(eng, r, queues)
+		s.hook(r)
 	}
-	if s.warmup > 0 {
-		eng.RunUntil(s.warmup)
-		for _, q := range queues {
-			q.Reset(eng.Now())
-		}
-		r.Tries.Value, r.BusyTries.Value, r.Cycles.Value = 0, 0, 0
-		for i := range r.TriesQ {
-			r.TriesQ[i], r.BusyTriesQ[i], r.CyclesQ[i] = 0, 0, 0
-		}
-		for i := range r.CyclesByThread {
-			r.CyclesByThread[i] = 0
-		}
-		// CPU accounting restarts too: replace through a fresh window.
-		r.Acct = cpu.NewAccounting(r.ThreadCount())
-		r.ResetProvisioned(eng.Now())
-		if s.cfg.Bus != nil {
-			// Latency histograms window like every other warm-up-reset
-			// gauge: tails rendered from the bus cover measurement only.
-			for q := range s.procs {
-				s.cfg.Bus.ResetLatency(q)
-			}
-		}
+	if s.Warmup > 0 {
+		eng.RunUntil(s.Warmup)
+		r.ResetWindow(eng.Now())
 		if ctrl != nil {
 			ctrl.ResetStats(eng.Now())
 		}
 		// The flight recorder windows with the other stats: the engine is
 		// parked at the warm-up boundary, so the reset cannot race writers.
-		s.recorder.Reset()
+		s.Cfg.Recorder.Reset()
 	}
-	eng.RunUntil(s.warmup + s.dur)
-	end := s.warmup + s.dur
-	rep := elastic.Report{
-		Resizes:    0,
-		MinThreads: r.TeamSize(), MaxThreads: r.TeamSize(), Final: r.TeamSize(),
-	}
+	end := s.Warmup + s.Dur
+	eng.RunUntil(end)
+	rep := elastic.Report{MinThreads: r.TeamSize(), MaxThreads: r.TeamSize(), Final: r.TeamSize()}
 	if ctrl != nil {
 		rep = ctrl.Report(end)
 	}
 	// Thread-seconds come from the core's exact ∫M(t)dt integral rather
 	// than the controller's tick-quantised account.
 	rep.ThreadSeconds = r.ProvisionedThreadSeconds(end)
-	if s.dur > 0 {
-		rep.MeanThreads = rep.ThreadSeconds / s.dur
+	if s.Dur > 0 {
+		rep.MeanThreads = rep.ThreadSeconds / s.Dur
 	}
-	return r, r.Snapshot(s.dur), rep
+	return r, r.Snapshot(s.Dur), rep
 }
 
 // overrideElastic yields the Options-level elastic override (-elastic on
@@ -423,31 +383,6 @@ func overrideElastic(o Options, cfg core.Config, nQueues int) *elastic.Config {
 	return &ec
 }
 
-// tailColumns are the exact-histogram latency-tail cells appended by the
-// experiments that render tail panels; values are microseconds read from
-// the bus histograms (bucket upper edges, ≤3.2% wide — see stats.LogHistogram).
-var tailColumns = []string{"p50_us", "p99_us", "p999_us", "p9999_us", "lmax_us"}
-
-// tailCells folds every queue's bus histogram into one deployment-wide
-// distribution and renders the tail quantiles. The histograms were reset
-// at warm-up, so the cells cover the measured window exactly — every
-// per-packet retrieval latency, no reservoir thinning.
-func tailCells(r *core.Runtime, nQueues int) []string {
-	bus := r.Cfg.Bus
-	if bus == nil {
-		return []string{"-", "-", "-", "-", "-"}
-	}
-	var h stats.LogHistogram
-	for q := 0; q < nQueues; q++ {
-		bus.SampleLatency(q, &h)
-	}
-	if h.N() == 0 {
-		return []string{"-", "-", "-", "-", "-"}
-	}
-	at := func(p float64) string { return us(float64(h.Quantile(p)) * 1e-9) }
-	return []string{at(0.5), at(0.99), at(0.999), at(0.9999), us(float64(h.Max()) * 1e-9)}
-}
-
 // singleQueueCBR is the common single-queue constant-rate deployment; the
 // Options-level policy, elastic and ring-capacity overrides apply unless
 // cfg pinned its own.
@@ -455,15 +390,15 @@ func singleQueueCBR(o Options, cfg core.Config, pps, dur float64, seed uint64) (
 	if cfg.RingCap == 0 {
 		cfg.RingCap = o.RingCap
 	}
-	return runMetronome(runSpec{
-		cfg:     cfg,
-		policy:  overridePolicy(o, cfg),
-		elastic: overrideElastic(o, cfg, 1),
-		procs:   []traffic.Process{traffic.CBR{PPS: pps}},
-		dur:     dur,
-		warmup:  dur * 0.2,
-		seed:    seed,
+	overridePolicy(o, &cfg)
+	cfg.Seed = seed
+	rt, m, _ := Deploy([]traffic.Process{traffic.CBR{PPS: pps}}, Deployment{
+		Cfg:     cfg,
+		Elastic: overrideElastic(o, cfg, 1),
+		Dur:     dur,
+		Warmup:  dur * 0.2,
 	})
+	return rt, m
 }
 
 // governorPower resolves the ondemand/performance fixed point for a
@@ -473,14 +408,14 @@ func singleQueueCBR(o Options, cfg core.Config, pps, dur float64, seed uint64) (
 // ondemand ramps a saturated core (util ~1) back to FMax — work expands to
 // fill the queue backlog, so slowing down never looks "less utilised" —
 // and each core settles at its own frequency for the power account.
-func governorPower(pc power.Config, gov power.Governor, spec runSpec) (core.Metrics, float64, float64) {
+func governorPower(pc power.Config, gov power.Governor, procs []traffic.Process, spec Deployment) (core.Metrics, float64, float64) {
 	freq := pc.FMax
 	var m core.Metrics
 	var rt *core.Runtime
 	var utils []float64
 	for iter := 0; iter < 6; iter++ {
-		spec.cfg.FreqScale = freq / pc.FMax
-		rt, m = runMetronome(spec)
+		spec.Cfg.FreqScale = freq / pc.FMax
+		rt, m, _ = Deploy(procs, spec)
 		utils = perThreadUtil(rt, m.Wall)
 		umax := maxOf(utils)
 		var next float64

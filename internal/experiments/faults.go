@@ -6,10 +6,8 @@ import (
 	"metronome/internal/core"
 	"metronome/internal/elastic"
 	"metronome/internal/faults"
-	"metronome/internal/nic"
 	"metronome/internal/obsv"
 	"metronome/internal/sched"
-	"metronome/internal/sim"
 	"metronome/internal/traffic"
 )
 
@@ -44,26 +42,15 @@ func obliviousTuning(minThreads, budget int) *elastic.Config {
 	return ec
 }
 
-// faultMode is one comparison arm of a fault panel. rec, when non-nil,
-// attaches a flight recorder to the arm's control plane (recording is
-// passive, so the arm's physics are unchanged); the panel folds the ring
-// into a decision-trace table beside the figure.
-type faultMode struct {
-	name string
-	m    int
-	ecfg *elastic.Config
-	rec  *obsv.Recorder
-}
-
-// faultResult carries one arm's rendered row plus the raw quantities the
-// acceptance test asserts on. drops counts the watched queue only, so the
-// fault's signature is not diluted by unrelated loss elsewhere.
+// faultResult carries one arm's run plus the fault quantities its row
+// renders and the acceptance test asserts on. drops counts the watched
+// queue (queue 0) only, so the fault's signature is not diluted by
+// unrelated loss elsewhere; recovery is in milliseconds.
 type faultResult struct {
-	name   string
-	drops  int64
-	exiles int
-	row    []string
-	tails  []string
+	armRun
+	drops    int64
+	exiles   int
+	recovery float64
 }
 
 // faultColumns: loss_permille is the deployment-wide loss rate; drops counts
@@ -73,85 +60,67 @@ var faultColumns = []string{
 	"thread_ms", "mean_M", "M_range", "resizes", "exiles", "safe_ticks",
 }
 
-// faultRow runs one arm with the shared fault schedule and a recovery probe
-// on the watched queue: every probe period the queue is sampled, and the run
-// remembers the last instant it was unhealthy (drops still accruing, or
-// occupancy above 10% of the ring). recovery_ms is how long past the fault
-// clearing that instant lies — 0 when the queue was healthy the moment the
-// fault lifted.
-func faultRow(mode faultMode, procs []traffic.Process, evs []faults.Event,
-	d, warmup, faultEnd float64, probeQ int, clean bool, seed uint64) faultResult {
-	spec := elasticSpec(sched.NameRMetronome, mode.m, procs, d, warmup, seed, mode.ecfg)
-	spec.faults = evs
-	spec.recorder = mode.rec
-	if clean {
-		// Straggler and blackout panels run on a clean host: the injected
-		// fault is the only outage source, so the arms differ by their
-		// control loop alone, not by the noisy host's wake-delay lottery.
-		spec.cfg.Wake.TailProb = 0
+// faultPanel runs a panel's arms under the shared fault schedule with a
+// recovery probe on the watched queue 0: every probe period the queue is
+// sampled, and the run remembers the last instant it was unhealthy (drops
+// still accruing, or occupancy above 10% of the ring). recovery is how
+// long past faultEnd that instant lies — 0 when the queue was healthy the
+// moment the fault lifted. Arm i runs at seed+i.
+func faultPanel(o Options, arms []arm, procs []traffic.Process, evs []faults.Event,
+	d, warmup, faultEnd float64, clean bool, seed uint64) []faultResult {
+	lastBad := make([]float64, len(arms))
+	runs := runArms(o, arms, procs, d, warmup, perArm(seed), func(i int, s *Deployment) {
+		s.Faults = evs
+		if clean {
+			// Straggler and blackout panels run on a clean host: the
+			// injected fault is the only outage source, so the arms
+			// differ by their control loop alone, not by the noisy
+			// host's wake-delay lottery.
+			s.Cfg.Wake.TailProb = 0
+		}
+		s.hook = func(r *core.Runtime) {
+			q := r.Queues[0]
+			var prevDrops int64
+			r.Eng.Ticker(5e-4, "fault-probe", func() {
+				now := r.Eng.Now()
+				if q.Drops < prevDrops {
+					prevDrops = q.Drops // warm-up reset zeroed the counter
+				}
+				if q.Drops > prevDrops || q.Occupancy(now) > 0.1*float64(q.Opt.Cap) {
+					lastBad[i] = now
+				}
+				prevDrops = q.Drops
+			})
+		}
+	})
+	results := make([]faultResult, len(runs))
+	for i, r := range runs {
+		results[i] = faultResult{armRun: r, drops: r.rt.Queues[0].Drops, exiles: r.rep.Exiles}
+		if lastBad[i] > faultEnd {
+			results[i].recovery = (lastBad[i] - faultEnd) * 1e3
+		}
 	}
-	var watched *nic.Queue
-	var lastBad float64
-	spec.hook = func(eng *sim.Engine, r *core.Runtime, queues []*nic.Queue) {
-		q := queues[probeQ]
-		watched = q
-		var prevDrops int64
-		eng.Ticker(5e-4, "fault-probe", func() {
-			now := eng.Now()
-			if q.Drops < prevDrops {
-				prevDrops = q.Drops // warm-up reset zeroed the counter
-			}
-			if q.Drops > prevDrops || q.Occupancy(now) > 0.1*float64(q.Opt.Cap) {
-				lastBad = now
-			}
-			prevDrops = q.Drops
-		})
-	}
-	rt, met, rep := runMetronomeElastic(spec)
-	recovery := 0.0
-	if lastBad > faultEnd {
-		recovery = (lastBad - faultEnd) * 1e3
-	}
-	return faultResult{
-		name:   mode.name,
-		drops:  watched.Drops,
-		exiles: rep.Exiles,
-		tails:  append([]string{mode.name}, tailCells(rt, len(procs))...),
-		row: []string{
-			mode.name,
-			permille(met.LossRate),
-			fmt.Sprintf("%d", watched.Drops),
-			f1(recovery),
-			f1(rep.ThreadSeconds * 1e3),
-			f2(rep.MeanThreads),
-			fmt.Sprintf("%d..%d", rep.MinThreads, rep.MaxThreads),
-			fmt.Sprintf("%d", rep.Resizes),
-			fmt.Sprintf("%d", rep.Exiles),
-			fmt.Sprintf("%d", rep.SafeTicks),
-		},
+	return results
+}
+
+// faultCells renders one fault-panel arm.
+func faultCells(r faultResult) []string {
+	return []string{
+		r.name,
+		permille(r.met.LossRate),
+		fmt.Sprintf("%d", r.drops),
+		f1(r.recovery),
+		f1(r.rep.ThreadSeconds * 1e3),
+		f2(r.rep.MeanThreads),
+		fmt.Sprintf("%d..%d", r.rep.MinThreads, r.rep.MaxThreads),
+		fmt.Sprintf("%d", r.rep.Resizes),
+		fmt.Sprintf("%d", r.exiles),
+		fmt.Sprintf("%d", r.rep.SafeTicks),
 	}
 }
 
-func rowsOf(results []faultResult) [][]string {
-	rows := make([][]string, len(results))
-	for i, r := range results {
-		rows[i] = r.row
-	}
-	return rows
-}
-
-// faultTables pairs a panel with its exact-histogram tail table unless
-// the Options-level -hist override dropped the tail panels.
-func faultTables(o Options, main *Table, results []faultResult, tailID, tailTitle string) []*Table {
-	if o.NoHist {
-		return []*Table{main}
-	}
-	rows := make([][]string, len(results))
-	for i, r := range results {
-		rows[i] = r.tails
-	}
-	return []*Table{main, tailsTable(tailID, tailTitle, rows)}
-}
+// faultTails renders one fault-panel arm's latency-tail row.
+func faultTails(r faultResult) []string { return tailCells(r.armRun) }
 
 // stragglerResults runs the straggler-storm arms and returns the raw
 // results; the acceptance test asserts the oracle/self-heal/oblivious loss
@@ -175,33 +144,31 @@ func stragglerResults(o Options, rec *obsv.Recorder) ([]faultResult, float64) {
 	}
 	evs := faults.Storm(nil, 0, warmup+0.30*d, warmup+0.90*d, 0.10*d, 0.05*d)
 	faultEnd := warmup + 0.85*d // the last storm's stall window closes here
-	modes := []faultMode{
+	arms := []arm{
 		// The oracle knows thread 0 will fail and pre-provisions its home
 		// queue with a second member for the whole run.
-		{name: "oracle-static-3", m: 3},
-		{name: "static-2", m: 2},
-		{name: "elastic-oblivious-2..4", m: 2, ecfg: obliviousTuning(2, 4)},
-		{name: "elastic-selfheal-2..4", m: 2, ecfg: healingTuning(2, 4), rec: rec},
+		{name: "oracle-static-3", m: 3, policy: sched.NameRMetronome},
+		{name: "static-2", m: 2, policy: sched.NameRMetronome},
+		{name: "elastic-oblivious-2..4", m: 2, policy: sched.NameRMetronome, ecfg: obliviousTuning(2, 4)},
+		{name: "elastic-selfheal-2..4", m: 2, policy: sched.NameRMetronome, ecfg: healingTuning(2, 4), rec: rec},
 	}
-	results := parMap(o, len(modes), func(i int) faultResult {
-		return faultRow(modes[i], procs, evs, d, warmup, faultEnd, 0, true, o.Seed+uint64(1600+i))
-	})
+	results := faultPanel(o, arms, procs, evs, d, warmup, faultEnd, true, o.Seed+1600)
 	return results, d
 }
 
 func faultsStragglerPanel(o Options) []*Table {
 	rec := obsv.NewRecorder(obsv.DefaultCapacity)
 	results, _ := stragglerResults(o, rec)
-	tables := faultTables(o, &Table{
+	tables := append([]*Table{{
 		ID:      "fig-faults-straggler",
 		Title:   "straggler storm (thread 0 preempted 40 ms every 80 ms), 150 Kpps + 6 Mpps over 2 queues",
 		Columns: faultColumns,
-		Rows:    rowsOf(results),
+		Rows:    renderRows(results, faultCells),
 		Notes: []string{
 			"a starved queue publishes nothing (gauges land on its own cycle path), so the oblivious controller is blind to the storm and loses like static-2",
 			"the health layer sees the frozen heartbeat within its liveness bound and exiles the straggler — a corrective plan reinforces its home queue before the ring overflows, matching the oracle's loss at a fraction of its thread-seconds",
 		},
-	}, results, "fig-faults-tails-straggler", "straggler storm — exact latency tails")
+	}}, tailsTable(o, "fig-faults-tails-straggler", "straggler storm — exact latency tails", renderRows(results, faultTails))...)
 	return append(tables, traceTable("fig-faults-trace",
 		"self-healing arm under the straggler storm — flight-recorder decision trace", rec))
 }
@@ -218,25 +185,23 @@ func faultsBlackoutPanel(o Options) []*Table {
 		{At: warmup + 0.44*d, Kind: faults.QueueRecover, Target: 0},
 	}
 	faultEnd := warmup + 0.44*d
-	modes := []faultMode{
-		{name: "static-2", m: 2},
-		{name: "static-4", m: 4},
-		{name: "elastic-oblivious-2..4", m: 2, ecfg: obliviousTuning(2, 4)},
-		{name: "elastic-selfheal-2..4", m: 2, ecfg: healingTuning(2, 4)},
+	arms := []arm{
+		{name: "static-2", m: 2, policy: sched.NameRMetronome},
+		{name: "static-4", m: 4, policy: sched.NameRMetronome},
+		{name: "elastic-oblivious-2..4", m: 2, policy: sched.NameRMetronome, ecfg: obliviousTuning(2, 4)},
+		{name: "elastic-selfheal-2..4", m: 2, policy: sched.NameRMetronome, ecfg: healingTuning(2, 4)},
 	}
-	results := parMap(o, len(modes), func(i int) faultResult {
-		return faultRow(modes[i], procs, evs, d, warmup, faultEnd, 0, true, o.Seed+uint64(1620+i))
-	})
-	return faultTables(o, &Table{
+	results := faultPanel(o, arms, procs, evs, d, warmup, faultEnd, true, o.Seed+1620)
+	return append([]*Table{{
 		ID:      "fig-faults-blackout",
 		Title:   "queue blackout (queue 0 dark for 32 ms), 600 Kpps + 6 Mpps over 2 queues",
 		Columns: faultColumns,
-		Rows:    rowsOf(results),
+		Rows:    renderRows(results, faultCells),
 		Notes: []string{
 			"the dark window overflows the ring for every arm — static-4's extra capacity buys nothing, because no amount of service drains a NIC that reports empty",
 			"the oblivious controller chases the dark loss to its budget (wasted thread-seconds); the health layer classifies drops-rising-while-empty as dark loss and holds the team, then both drain the surfaced backlog at recovery",
 		},
-	}, results, "fig-faults-tails-blackout", "queue blackout — exact latency tails")
+	}}, tailsTable(o, "fig-faults-tails-blackout", "queue blackout — exact latency tails", renderRows(results, faultTails))...)
 }
 
 func faultsBrownoutPanel(o Options) []*Table {
@@ -255,25 +220,23 @@ func faultsBrownoutPanel(o Options) []*Table {
 		{At: warmup + 0.75*d, Kind: faults.TelemetryThaw, Target: 1},
 	}
 	faultEnd := warmup + 0.70*d // when the crowd leaves, not when gauges thaw
-	modes := []faultMode{
-		{name: "static-2", m: 2},
-		{name: "static-8", m: 8},
-		{name: "elastic-oblivious-2..8", m: 2, ecfg: obliviousTuning(2, 8)},
-		{name: "elastic-selfheal-2..8", m: 2, ecfg: healingTuning(2, 8)},
+	arms := []arm{
+		{name: "static-2", m: 2, policy: sched.NameRMetronome},
+		{name: "static-8", m: 8, policy: sched.NameRMetronome},
+		{name: "elastic-oblivious-2..8", m: 2, policy: sched.NameRMetronome, ecfg: obliviousTuning(2, 8)},
+		{name: "elastic-selfheal-2..8", m: 2, policy: sched.NameRMetronome, ecfg: healingTuning(2, 8)},
 	}
-	results := parMap(o, len(modes), func(i int) faultResult {
-		return faultRow(modes[i], procs, evs, d, warmup, faultEnd, 0, false, o.Seed+uint64(1640+i))
-	})
-	return faultTables(o, &Table{
+	results := faultPanel(o, arms, procs, evs, d, warmup, faultEnd, false, o.Seed+1640)
+	return append([]*Table{{
 		ID:      "fig-faults-brownout",
 		Title:   "telemetry brownout (all gauges frozen) hiding a 4 -> 28 Mpps flash crowd",
 		Columns: faultColumns,
-		Rows:    rowsOf(results),
+		Rows:    renderRows(results, faultCells),
 		Notes: []string{
 			"frozen gauges keep reading the pre-crowd idle, so the oblivious controller never grows and loses like static-2",
 			"the health layer watches publish sequences, not values: when every queue goes stale it stops trusting the bus and grows to SafeTeam (grow-only), riding out the crowd like static-8 — then shrinks back once fresh gauges return",
 		},
-	}, results, "fig-faults-tails-brownout", "telemetry brownout — exact latency tails")
+	}}, tailsTable(o, "fig-faults-tails-brownout", "telemetry brownout — exact latency tails", renderRows(results, faultTails))...)
 }
 
 func faultsOutagePanel(o Options) []*Table {
@@ -290,24 +253,22 @@ func faultsOutagePanel(o Options) []*Table {
 		{At: warmup + 0.70*d, Kind: faults.ControllerUp},
 	}
 	faultEnd := warmup + 0.70*d // ticks resume mid-crowd; recovery is theirs
-	modes := []faultMode{
-		{name: "static-8", m: 8},
-		{name: "elastic-oblivious-2..8", m: 2, ecfg: obliviousTuning(2, 8)},
-		{name: "elastic-selfheal-2..8", m: 2, ecfg: healingTuning(2, 8)},
+	arms := []arm{
+		{name: "static-8", m: 8, policy: sched.NameRMetronome},
+		{name: "elastic-oblivious-2..8", m: 2, policy: sched.NameRMetronome, ecfg: obliviousTuning(2, 8)},
+		{name: "elastic-selfheal-2..8", m: 2, policy: sched.NameRMetronome, ecfg: healingTuning(2, 8)},
 	}
-	results := parMap(o, len(modes), func(i int) faultResult {
-		return faultRow(modes[i], procs, evs, d, warmup, faultEnd, 0, false, o.Seed+uint64(1660+i))
-	})
-	return faultTables(o, &Table{
+	results := faultPanel(o, arms, procs, evs, d, warmup, faultEnd, false, o.Seed+1660)
+	return append([]*Table{{
 		ID:      "fig-faults-outage",
 		Title:   "controller outage (ticks suppressed 160 ms) across a flash-crowd onset",
 		Columns: faultColumns,
-		Rows:    rowsOf(results),
+		Rows:    renderRows(results, faultCells),
 		Notes: []string{
 			"both elastic arms are blind while ticks are suppressed and pay the crowd's onset; the static team is immune but pays 8 threads all run",
 			"at resume the self-healing controller re-enters through the monotonic-tick guard and the actuation rate limit: recovery stays bounded with no burst of stale-state resizes (the value-change detectors count ticks, so an outage never false-trips staleness)",
 		},
-	}, results, "fig-faults-tails-outage", "controller outage — exact latency tails")
+	}}, tailsTable(o, "fig-faults-tails-outage", "controller outage — exact latency tails", renderRows(results, faultTails))...)
 }
 
 func runFaults(o Options) []*Table {

@@ -42,14 +42,9 @@ func runAblPoisson(o Options) []*Table {
 			p = traffic.Poisson{Lambda: pps}
 		}
 		cfg := core.DefaultConfig()
-		_, m := runMetronome(runSpec{
-			cfg:    cfg,
-			policy: overridePolicy(o, cfg),
-			procs:  []traffic.Process{p},
-			dur:    d,
-			warmup: d * 0.2,
-			seed:   o.Seed + uint64(1500+10*i+j),
-		})
+		overridePolicy(o, &cfg)
+		cfg.Seed = o.Seed + uint64(1500+10*i+j)
+		_, m, _ := Deploy([]traffic.Process{p}, Deployment{Cfg: cfg, Dur: d, Warmup: d * 0.2})
 		return []string{
 			mpps(pps), names[j], us(m.MeanVacation), us(m.Latency.Mean),
 			pct(m.CPUPercent), permille(m.LossRate),
@@ -82,13 +77,8 @@ func runAblBlend(o Options) []*Table {
 		cfg.M = m
 		cfg.Adaptive = false
 		cfg.TSFixed = tsReq
-		rt, met := runMetronome(runSpec{
-			cfg:    cfg,
-			procs:  []traffic.Process{traffic.CBR{PPS: pps}},
-			dur:    d,
-			warmup: d * 0.2,
-			seed:   o.Seed + uint64(1600+i),
-		})
+		cfg.Seed = o.Seed + uint64(1600+i)
+		rt, met, _ := Deploy([]traffic.Process{traffic.CBR{PPS: pps}}, Deployment{Cfg: cfg, Dur: d, Warmup: d * 0.2})
 		rho := rt.Rho(0)
 		pred := model.EVGeneralApprox(tsEff, m, model.PrimaryProb(rho))
 		ratio := met.MeanVacation / pred

@@ -40,22 +40,17 @@ func init() {
 const xl710Rate = 37e6
 
 // multiqueueSpec builds an N-queue even-split CBR deployment.
-func multiqueueSpec(o Options, nq, m int, totalPPS, d float64, seedOff uint64) runSpec {
+func multiqueueSpec(o Options, nq, m int, totalPPS, d float64, seedOff uint64) ([]traffic.Process, Deployment) {
 	cfg := core.DefaultConfig()
 	cfg.M = m
 	cfg.VBar = 15e-6
+	cfg.Seed = o.Seed + seedOff
+	overridePolicy(o, &cfg)
 	procs := make([]traffic.Process, nq)
 	for i := range procs {
 		procs[i] = traffic.CBR{PPS: totalPPS / float64(nq)}
 	}
-	return runSpec{
-		cfg:    cfg,
-		policy: overridePolicy(o, cfg),
-		procs:  procs,
-		dur:    d,
-		warmup: d * 0.2,
-		seed:   o.Seed + seedOff,
-	}
+	return procs, Deployment{Cfg: cfg, Dur: d, Warmup: d * 0.2}
 }
 
 func runFig13(o Options) []*Table {
@@ -79,8 +74,8 @@ func runFig13(o Options) []*Table {
 	}
 	rows := parMap(o, len(pts), func(i int) []string {
 		p := pts[i]
-		spec := multiqueueSpec(o, p.nq, p.m, xl710Rate, d, uint64(800+p.nq*10+p.m))
-		met, watts, _ := governorPower(pc, p.gov, spec)
+		procs, spec := multiqueueSpec(o, p.nq, p.m, xl710Rate, d, uint64(800+p.nq*10+p.m))
+		met, watts, _ := governorPower(pc, p.gov, procs, spec)
 		return []string{
 			fmt.Sprintf("%d", p.m),
 			pct(met.CPUPercent),
@@ -119,11 +114,10 @@ func runFig14(o Options) []*Table {
 	}
 	rows := parMap(o, len(pts), func(i int) []string {
 		p := pts[i]
-		specP := multiqueueSpec(o, p.nq, p.m, xl710Rate, d, uint64(900+p.nq*10+p.m))
-		_, mp := runMetronome(specP)
+		_, mp, _ := Deploy(multiqueueSpec(o, p.nq, p.m, xl710Rate, d, uint64(900+p.nq*10+p.m)))
 		// ondemand: rerun at the governor's frequency fixed point.
-		specO := multiqueueSpec(o, p.nq, p.m, xl710Rate, d, uint64(900+p.nq*10+p.m))
-		mo, _, _ := governorPower(pc, power.Ondemand, specO)
+		procs, spec := multiqueueSpec(o, p.nq, p.m, xl710Rate, d, uint64(900+p.nq*10+p.m))
+		mo, _, _ := governorPower(pc, power.Ondemand, procs, spec)
 		return []string{
 			fmt.Sprintf("%d", p.m),
 			pct(mp.BusyTryFrac * 100), f3(meanOf(mp.RhoEst)),
@@ -163,8 +157,8 @@ func runFig15(o Options) []*Table {
 	}
 	ratesPPS := []float64{37e6, 30e6, 20e6, 15e6, 10e6, 0}
 	t.Rows = parMap(o, len(ratesPPS), func(i int) []string {
-		spec := multiqueueSpec(o, 4, 5, ratesPPS[i], d, uint64(1000+i))
-		met, watts, _ := governorPower(pc, power.Performance, spec)
+		procs, spec := multiqueueSpec(o, 4, 5, ratesPPS[i], d, uint64(1000+i))
+		met, watts, _ := governorPower(pc, power.Performance, procs, spec)
 		return []string{
 			mpps(ratesPPS[i]), pct(met.CPUPercent), f1(watts),
 			"400.0", f1(staticPower(pc, power.Performance, 4)),
@@ -185,8 +179,9 @@ func runTab3(o Options) []*Table {
 	for i, s := range shares {
 		procs[i] = traffic.CBR{PPS: xl710Rate * s}
 	}
-	spec := runSpec{cfg: cfg, policy: overridePolicy(o, cfg), procs: procs, dur: d, warmup: d * 0.1, seed: o.Seed + 1100}
-	rt, _ := runMetronome(spec)
+	overridePolicy(o, &cfg)
+	cfg.Seed = o.Seed + 1100
+	rt, _, _ := Deploy(procs, Deployment{Cfg: cfg, Dur: d, Warmup: d * 0.1})
 	t := &Table{
 		ID:      "tab3",
 		Title:   "unbalanced traffic, 3 queues, line rate",

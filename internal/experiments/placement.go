@@ -18,14 +18,6 @@ func init() {
 	})
 }
 
-// placementMode is one comparison arm of the placement panels.
-type placementMode struct {
-	name   string
-	m      int
-	policy string
-	ecfg   *elastic.Config
-}
-
 // placementTuning builds the controller the placement arms share; placed
 // upgrades the same tuning to the placement law so team-elastic and
 // placement-elastic differ in exactly one bit. The occupancy target stays
@@ -62,24 +54,22 @@ func planMS(ts []float64) string {
 	return strings.Join(parts, "/")
 }
 
-// placementRow runs one arm and renders loss/CPU/vacation, the provisioning
+// placementCells renders one arm: loss/CPU/vacation, the provisioning
 // account, and the per-queue placement evidence (final plan + per-queue
 // provisioned thread-milliseconds).
-func placementRow(mode placementMode, procs []traffic.Process, d, warmup float64, seed uint64) []string {
-	rt, met, rep := runMetronomeElastic(elasticSpec(mode.policy, mode.m, procs, d, warmup, seed, mode.ecfg))
-	end := rt.Eng.Now()
+func placementCells(r armRun) []string {
 	return []string{
-		mode.name,
-		permille(met.LossRate),
-		pct(met.CPUPercent),
-		pct(met.BusyTryFrac * 100),
-		us(met.MeanVacation),
-		f1(rep.ThreadSeconds * 1e3),
-		f2(rep.MeanThreads),
-		fmt.Sprintf("%d", rep.Resizes),
-		fmt.Sprintf("%d", rep.Rebalances),
-		plan(rt.Placement()),
-		planMS(rt.ProvisionedThreadSecondsQ(end)),
+		r.name,
+		permille(r.met.LossRate),
+		pct(r.met.CPUPercent),
+		pct(r.met.BusyTryFrac * 100),
+		us(r.met.MeanVacation),
+		f1(r.rep.ThreadSeconds * 1e3),
+		f2(r.rep.MeanThreads),
+		fmt.Sprintf("%d", r.rep.Resizes),
+		fmt.Sprintf("%d", r.rep.Rebalances),
+		plan(r.rt.Placement()),
+		planMS(r.rt.ProvisionedThreadSecondsQ(r.rt.Eng.Now())),
 	}
 }
 
@@ -111,7 +101,7 @@ func runPlacement(o Options) []*Table {
 	shiftProcs := []traffic.Process{
 		share(0.55, 0.15), share(0.15, 0.15), share(0.15, 0.15), share(0.15, 0.55),
 	}
-	shiftModes := []placementMode{
+	shiftRuns := runArms(o, []arm{
 		// With MinThreads = Budget = 6 the size law is inert, so the first
 		// two arms spend *identical* thread-seconds: team-elastic-6 cannot
 		// actuate at all (it IS the static balanced plan), while
@@ -126,18 +116,12 @@ func runPlacement(o Options) []*Table {
 			ecfg: placementTuning(4, 8, false)},
 		{name: "placement-elastic-4..8", m: 6, policy: sched.NameRMetronome,
 			ecfg: placementTuning(4, 8, true)},
-	}
-	// All arms share one seed: the traffic and wake-delay-tail realisations
-	// are identical, so the rows are a paired comparison of pure actuation
-	// policy (static vs scalar vs placement), not of noise draws.
-	shiftRows := parMap(o, len(shiftModes), func(i int) []string {
-		return placementRow(shiftModes[i], shiftProcs, d, warmup, o.Seed+1600)
-	})
+	}, shiftProcs, d, warmup, paired(o.Seed+1600), nil)
 	shift := &Table{
 		ID:      "fig-placement-shift",
 		Title:   "hot-queue migration (55% of 36 Mpps moves queue 0 -> 3), 4 queues, rmetronome, V̄=15us, noisy host",
 		Columns: placementColumns,
-		Rows:    shiftRows,
+		Rows:    renderRows(shiftRuns, placementCells),
 		Notes: []string{
 			"total offered load is constant and the balanced split is the bottleneck: 6 threads over 4 queues leaves queues 2 and 3 with one-member groups, so the migrated hot flow's wake-delay tails go uncovered — the scalar law's only remedy is growing the whole team, the placement law re-homes the idle members instead",
 			"the first two arms spend identical thread-seconds by construction (MinThreads=Budget pins the size law), so their loss gap is pure placement: member migration alone covers the hot queue's tails",
@@ -163,19 +147,16 @@ func runPlacement(o Options) []*Table {
 		ec.SlopeGain = gain
 		return &ec
 	}
-	rampModes := []placementMode{
+	rampRuns := runArms(o, []arm{
 		{name: "static-8", m: 8, policy: sched.NameAdaptive},
 		{name: "elastic-pi-2..8", m: 2, policy: sched.NameAdaptive, ecfg: edgeTuning(0)},
 		{name: "elastic-pi+ff-2..8", m: 2, policy: sched.NameAdaptive, ecfg: edgeTuning(16)},
-	}
-	rampRows := parMap(o, len(rampModes), func(i int) []string {
-		return placementRow(rampModes[i], rampProcs, d, warmup, o.Seed+1620)
-	})
+	}, rampProcs, d, warmup, paired(o.Seed+1620), nil)
 	ramp := &Table{
 		ID:      "fig-placement-ramp",
 		Title:   "rising-edge feedforward (sine 2..46 Mpps total over 2 queues), adaptive, V̄=15us",
 		Columns: placementColumns,
-		Rows:    rampRows,
+		Rows:    renderRows(rampRuns, placementCells),
 		Notes: []string{
 			"the pi+ff arm adds the EWMA occupancy-slope feedforward (SlopeGain lookahead periods) to the proportional path only, so it pre-provisions on the climb but unwinds at the plain PI rate after the crest",
 			"all arms share one seed, so the rows are a paired comparison under identical noise",

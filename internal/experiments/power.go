@@ -20,17 +20,6 @@ func init() {
 	})
 }
 
-// powerMode is one comparison arm: a static team of m threads or an
-// elastic team governed by ecfg, all under the shared-queue
-// rmetronome discipline on a clean host (the fault-free power physics are
-// the story; the wake-delay lottery is fig-elastic's).
-type powerMode struct {
-	name string
-	m    int
-	ecfg *elastic.Config
-	rec  *obsv.Recorder // optional flight recorder riding the arm
-}
-
 // powerTuning is elasticTuning with the power objective under test.
 // Placement stays off: the day's load is balanced across queues, and
 // per-queue replanning mid-crowd can transiently leave a queue with a
@@ -59,16 +48,14 @@ func powerTuning(minThreads, budget int, obj elastic.Objective) *elastic.Config 
 	return ec
 }
 
-// powerResult carries one arm's rendered row plus the raw quantities the
-// acceptance test asserts on: deployment-wide loss rate, whether the arm
-// is a static rung, and the modelled core-only joules of the run.
+// powerResult carries one arm's run plus the quantities the acceptance
+// test asserts on: deployment-wide loss rate, whether the arm is a static
+// rung, and the modelled core-only joules of the run.
 type powerResult struct {
-	name   string
+	armRun
 	static bool
 	loss   float64
 	joules float64
-	row    []string
-	tails  []string
 }
 
 // powerBudget is the machine every arm is priced against: the elastic
@@ -78,67 +65,9 @@ type powerResult struct {
 // silicon, not in how much of it they own.
 const powerBudget = 8
 
-// powerRow runs one arm and prices it: the residency (busy/idle/parked
-// seconds plus mean sleep dwell) comes out of the run's own accounting,
-// and power.TeamEnergy converts it to core-only joules at the calibration
-// frequency. ctl_W is the elastic controller's internal mean-watts gauge
-// (Report.MeanWatts) — the number the joules objective steers on — shown
-// beside the external account so the two books can be compared.
-func powerRow(mode powerMode, procs []traffic.Process, evs []faults.Event, d, warmup float64, seed uint64) powerResult {
-	spec := elasticSpec(sched.NameRMetronome, mode.m, procs, d, warmup, seed, mode.ecfg)
-	// Clean host: the deterministic preemption storm below is the only
-	// outage source, so the ladder's loss cliff is exact physics rather
-	// than a per-seed wake-delay lottery (the same determinism argument
-	// as the fig-faults straggler panel).
-	spec.cfg.Wake.TailProb = 0
-	// Sticky backups: a lost-race member re-contends its home queue
-	// instead of wandering (Sec. IV-E's random re-target). Under the
-	// preemption storm this makes partner coverage deterministic — a
-	// two-member group's survivor is never off visiting another queue for
-	// the whole stall — so the ladder's loss cliff is pure group size, not
-	// a per-seed wander lottery.
-	spec.cfg.BackupSticky = true
-	// A longer target vacation than fig-elastic's 15 us: fewer wakes per
-	// second cut the sleep/wake overhead (the energy floor the paper's
-	// discipline is about) while wake-time occupancy stays the
-	// controller's crowd signal.
-	spec.cfg.VBar = 60e-6
-	spec.faults = evs
-	spec.recorder = mode.rec
-	rt, met, rep := runMetronomeElastic(spec)
-	pc := power.DefaultConfig()
-	res := rt.Residency(warmup+d, d, powerBudget)
-	res.Freq = pc.FMax
-	joules := pc.TeamEnergy(res)
-	ctlW := "-"
-	if mode.ecfg != nil {
-		ctlW = f2(rep.MeanWatts)
-	}
-	return powerResult{
-		name:   mode.name,
-		static: mode.ecfg == nil,
-		loss:   met.LossRate,
-		joules: joules,
-		row: []string{
-			mode.name,
-			permille(met.LossRate),
-			pct(met.CPUPercent),
-			f1(rep.ThreadSeconds * 1e3),
-			f2(rep.MeanThreads),
-			fmt.Sprintf("%d..%d", rep.MinThreads, rep.MaxThreads),
-			fmt.Sprintf("%d", rep.Resizes),
-			f2(joules),
-			f2(joules / d),
-			ctlW,
-			"", // saving_pct vs the smallest zero-loss static rung, filled below
-		},
-		tails: append([]string{mode.name}, tailCells(rt, len(procs))...),
-	}
-}
-
-// powerResults runs the fig-power arms and fills the saving column
-// against the baseline the paper's claim names: the smallest static rung
-// that rides out the peak at zero loss. The acceptance test asserts the
+// powerResults runs and prices the fig-power arms and returns the index of
+// the baseline the paper's claim names: the smallest static rung that
+// rides out the peak at zero loss. The acceptance test asserts the
 // elastic saving on these results directly. rec, when non-nil, rides the
 // joules-objective arm as its flight recorder.
 func powerResults(o Options, rec *obsv.Recorder) ([]powerResult, int) {
@@ -178,17 +107,44 @@ func powerResults(o Options, rec *obsv.Recorder) ([]powerResult, int) {
 			evs = append(evs, faults.Event{At: at, Kind: faults.ThreadStall, Target: th, Until: at + 600e-6})
 		}
 	}
-	modes := []powerMode{
-		{name: "static-4", m: 4},
-		{name: "static-5", m: 5},
-		{name: "static-6", m: 6},
-		{name: "static-8", m: 8},
-		{name: "elastic-ts-4..8", m: 4, ecfg: powerTuning(4, powerBudget, elastic.ObjectiveThreadSeconds)},
-		{name: "elastic-joules-4..8", m: 4, ecfg: powerTuning(4, powerBudget, elastic.ObjectiveJoules), rec: rec},
-	}
-	results := parMap(o, len(modes), func(i int) powerResult {
-		return powerRow(modes[i], procs, evs, d, warmup, o.Seed+uint64(1700+i))
+	runs := runArms(o, []arm{
+		{name: "static-4", m: 4, policy: sched.NameRMetronome},
+		{name: "static-5", m: 5, policy: sched.NameRMetronome},
+		{name: "static-6", m: 6, policy: sched.NameRMetronome},
+		{name: "static-8", m: 8, policy: sched.NameRMetronome},
+		{name: "elastic-ts-4..8", m: 4, policy: sched.NameRMetronome, ecfg: powerTuning(4, powerBudget, elastic.ObjectiveThreadSeconds)},
+		{name: "elastic-joules-4..8", m: 4, policy: sched.NameRMetronome, ecfg: powerTuning(4, powerBudget, elastic.ObjectiveJoules), rec: rec},
+	}, procs, d, warmup, perArm(o.Seed+1700), func(_ int, s *Deployment) {
+		// Clean host: the deterministic preemption storm is the only
+		// outage source, so the ladder's loss cliff is exact physics
+		// rather than a per-seed wake-delay lottery (the same determinism
+		// argument as the fig-faults straggler panel).
+		s.Cfg.Wake.TailProb = 0
+		// Sticky backups: a lost-race member re-contends its home queue
+		// instead of wandering (Sec. IV-E's random re-target). Under the
+		// preemption storm this makes partner coverage deterministic — a
+		// two-member group's survivor is never off visiting another queue
+		// for the whole stall — so the ladder's loss cliff is pure group
+		// size, not a per-seed wander lottery.
+		s.Cfg.BackupSticky = true
+		// A longer target vacation than fig-elastic's 15 us: fewer wakes
+		// per second cut the sleep/wake overhead (the energy floor the
+		// paper's discipline is about) while wake-time occupancy stays
+		// the controller's crowd signal.
+		s.Cfg.VBar = 60e-6
+		s.Faults = evs
 	})
+	// Price every arm: the residency (busy/idle/parked seconds plus mean
+	// sleep dwell) comes out of the run's own accounting, and
+	// power.TeamEnergy converts it to core-only joules at the calibration
+	// frequency.
+	pc := power.DefaultConfig()
+	results := make([]powerResult, len(runs))
+	for i, r := range runs {
+		res := r.rt.Residency(warmup+d, d, powerBudget)
+		res.Freq = pc.FMax
+		results[i] = powerResult{armRun: r, static: r.ecfg == nil, loss: r.met.LossRate, joules: pc.TeamEnergy(res)}
+	}
 
 	// The claim's baseline: the smallest static rung with zero measured
 	// loss (every rung loses in a degenerate run: fall back to the last).
@@ -199,27 +155,43 @@ func powerResults(o Options, rec *obsv.Recorder) ([]powerResult, int) {
 			break
 		}
 	}
-	for i := range results {
-		saving := (results[base].joules - results[i].joules) / results[base].joules * 100
-		results[i].row[len(results[i].row)-1] = f1(saving)
-	}
 	return results, base
+}
+
+// powerCells renders one fig-power arm against the baseline's joules.
+// ctl_W is the elastic controller's internal mean-watts gauge
+// (Report.MeanWatts) — the number the joules objective steers on — shown
+// beside the external account so the two books can be compared.
+func powerCells(r powerResult, baseJoules float64) []string {
+	ctlW := "-"
+	if r.ecfg != nil {
+		ctlW = f2(r.rep.MeanWatts)
+	}
+	return []string{
+		r.name,
+		permille(r.loss),
+		pct(r.met.CPUPercent),
+		f1(r.rep.ThreadSeconds * 1e3),
+		f2(r.rep.MeanThreads),
+		fmt.Sprintf("%d..%d", r.rep.MinThreads, r.rep.MaxThreads),
+		fmt.Sprintf("%d", r.rep.Resizes),
+		f2(r.joules),
+		f2(r.joules / r.met.Wall),
+		ctlW,
+		f1((baseJoules - r.joules) / baseJoules * 100),
+	}
 }
 
 func runPower(o Options) []*Table {
 	rec := obsv.NewRecorder(obsv.DefaultCapacity)
 	results, base := powerResults(o, rec)
-	rows := make([][]string, len(results))
-	tails := make([][]string, len(results))
-	for i, r := range results {
-		rows[i] = r.row
-		tails[i] = r.tails
-	}
 	main := &Table{
 		ID:      "fig-power",
 		Title:   "trough-dominated day (3 Mpps, 40 Mpps crowd for 10%) over 4 queues, rmetronome, modelled joules",
 		Columns: []string{"mode", "loss_permille", "cpu_pct", "thread_ms", "mean_M", "M_range", "resizes", "joules", "watts", "ctl_W", "saving_pct"},
-		Rows:    rows,
+		Rows: renderRows(results, func(r powerResult) []string {
+			return powerCells(r, results[base].joules)
+		}),
 		Notes: []string{
 			fmt.Sprintf("core-only energy from each run's sleep-state residency (power.DefaultConfig, Xeon Silver 4110 calibration): busy time at CorePower(FMax), short vacations at the shallow-idle floor, released/surplus cores of the common %d-core budget parked deep", powerBudget),
 			fmt.Sprintf("saving_pct is relative to %s — the smallest static rung that rides out the peak at zero loss, the paper's Sec. V-C baseline shape; the paper measures ~36%% vs busy polling with RAPL", results[base].name),
@@ -227,10 +199,8 @@ func runPower(o Options) []*Table {
 			"placement replanning is off in this figure: the load is balanced, so a rebalance buys nothing, and replan churn mid-crowd transiently leaves lone attendants exactly when the storm lands (measured ~1.9 permille on this day) — fig-placement prices replanning on the skewed days it is for",
 		},
 	}
-	tables := []*Table{main}
-	if !o.NoHist {
-		tables = append(tables, tailsTable("fig-power-tails", "power day — exact latency tails", tails))
-	}
+	tables := append([]*Table{main}, tailsTable(o, "fig-power-tails", "power day — exact latency tails",
+		renderRows(results, func(r powerResult) []string { return tailCells(r.armRun) }))...)
 	return append(tables, traceTable("fig-power-trace",
 		"joules-objective arm across the power day — flight-recorder decision trace", rec))
 }

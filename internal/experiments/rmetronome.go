@@ -6,6 +6,7 @@ import (
 	"metronome/internal/core"
 	"metronome/internal/nic"
 	"metronome/internal/sched"
+	"metronome/internal/telemetry"
 	"metronome/internal/traffic"
 )
 
@@ -29,25 +30,24 @@ var rmetronomePolicies = []string{sched.NameAdaptive, sched.NameRMetronome, sche
 // loss-sensitive multiqueue runs (the 576-packet single-queue default sits
 // right on the N_V cliff at these vacation targets and would turn every
 // vacation-length delta into a loss cliff instead of a CPU/latency story).
-func rmetronomeSpec(o Options, policy string, shares []float64, totalPPS, d float64, seedOff uint64) runSpec {
+func rmetronomeSpec(o Options, policy string, shares []float64, totalPPS, d float64, seedOff uint64) ([]traffic.Process, Deployment) {
 	cfg := core.DefaultConfig()
 	cfg.M = 2 * len(shares)
 	cfg.VBar = 15e-6
 	cfg.Policy = policy
+	cfg.Seed = o.Seed + seedOff
+	// The telemetry bus rides along so the work-stealing variant ranks
+	// backups by live queue occupancy instead of the rho EWMA.
+	cfg.Bus = telemetry.NewBus(len(shares), cfg.M)
 	procs := make([]traffic.Process, len(shares))
 	for i, s := range shares {
 		procs[i] = traffic.CBR{PPS: totalPPS * s}
 	}
-	return runSpec{
-		cfg:    cfg,
-		optFn:  func(opt *nic.Options) { opt.Cap = 4096 },
-		procs:  procs,
-		dur:    d,
-		warmup: d * 0.2,
-		seed:   o.Seed + seedOff,
-		// The telemetry bus rides along so the work-stealing variant ranks
-		// backups by live queue occupancy instead of the rho EWMA.
-		telemetry: true,
+	return procs, Deployment{
+		Cfg:    cfg,
+		optFn:  func(opt nic.Options) nic.Options { opt.Cap = 4096; return opt },
+		Dur:    d,
+		Warmup: d * 0.2,
 	}
 }
 
@@ -76,8 +76,7 @@ func runRMetronome(o Options) []*Table {
 	}
 	rows := parMap(o, len(pts), func(i int) []string {
 		p := pts[i]
-		spec := rmetronomeSpec(o, p.policy, evenShares(p.nq), xl710Rate, d, uint64(1200+i))
-		_, met := runMetronome(spec)
+		_, met, _ := Deploy(rmetronomeSpec(o, p.policy, evenShares(p.nq), xl710Rate, d, uint64(1200+i)))
 		return []string{
 			fmt.Sprintf("%d", p.nq),
 			p.policy,
@@ -115,8 +114,7 @@ func runRMetronome(o Options) []*Table {
 		rt  *core.Runtime
 		met core.Metrics
 	} {
-		spec := rmetronomeSpec(o, rmetronomePolicies[i], shares, xl710Rate, d, uint64(1300+i))
-		rt, met := runMetronome(spec)
+		rt, met, _ := Deploy(rmetronomeSpec(o, rmetronomePolicies[i], shares, xl710Rate, d, uint64(1300+i)))
 		return struct {
 			rt  *core.Runtime
 			met core.Metrics
@@ -156,8 +154,7 @@ func runRMetronome(o Options) []*Table {
 	// Panel 3 — service-turn fairness inside one group: per-thread cycle
 	// split of the balanced 2-queue deployment, observable only with the
 	// per-thread accounting.
-	spec := rmetronomeSpec(o, sched.NameRMetronome, evenShares(2), xl710Rate, d, 1400)
-	rt, _ := runMetronome(spec)
+	rt, _, _ := Deploy(rmetronomeSpec(o, sched.NameRMetronome, evenShares(2), xl710Rate, d, 1400))
 	fair := &Table{
 		ID:      "fig13-15-rmetronome-turns",
 		Title:   "service-turn split, rmetronome, 2 queues x 2-member groups",
@@ -200,9 +197,9 @@ func runRMetronome(o Options) []*Table {
 	}
 	dpRows := parMap(o, len(dpts), func(i int) []string {
 		p := dpts[i]
-		spec := rmetronomeSpec(o, sched.NameRMetronome, evenShares(p.nq), p.mpps*1e6, d, uint64(1450+i))
-		spec.cfg.Dephase = p.dephased
-		_, met := runMetronome(spec)
+		procs, spec := rmetronomeSpec(o, sched.NameRMetronome, evenShares(p.nq), p.mpps*1e6, d, uint64(1450+i))
+		spec.Cfg.Dephase = p.dephased
+		_, met, _ := Deploy(procs, spec)
 		return []string{
 			fmt.Sprintf("%.0f", p.mpps),
 			fmt.Sprintf("%d", p.nq),
