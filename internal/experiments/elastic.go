@@ -140,8 +140,10 @@ var tailColumns = []string{"p50_us", "p99_us", "p999_us", "p9999_us", "lmax_us"}
 
 // tailCells folds every queue's bus histogram into one deployment-wide
 // distribution and renders the arm's tail quantiles. The histograms were
-// reset at warm-up, so the cells cover the measured window exactly —
-// every per-packet retrieval latency, no reservoir thinning.
+// reset at warm-up, so the cells cover the measured window exactly — but
+// only its latency-tagged packets: the sim feeds the bus from nic's
+// MoonGen-style tags (Options.TagProb, 1 arrival in 1000 by default), not
+// from every packet.
 func tailCells(r armRun) []string {
 	row := []string{r.name, "-", "-", "-", "-", "-"}
 	bus := r.rt.Cfg.Bus
@@ -173,7 +175,7 @@ func tailsTable(o Options, id, title string, rows [][]string) []*Table {
 		Columns: append([]string{"mode"}, tailColumns...),
 		Rows:    rows,
 		Notes: []string{
-			"exact log-scale histogram quantiles (bucket upper edges, <=3.2% wide) over every measured packet — not a reservoir sample",
+			"exact log-scale histogram quantiles (bucket upper edges, <=3.2% wide) over the measured window's latency-tagged packets — the sim tags arrivals MoonGen-style, 1 in 1000 (nic TagProb), not every packet",
 		},
 	}}
 }

@@ -239,11 +239,12 @@ type (
 	// TelemetrySnapshot is a caller-owned sample of a whole bus.
 	TelemetrySnapshot = telemetry.Snapshot
 	// LatencyHistogram is the fidelity plane's fixed-bucket log-scale
-	// histogram: both substrates record every packet's retrieval latency
-	// into one per queue on the bus (TelemetryBus.RecordLatency, one atomic
-	// add, zero allocations) and TelemetryBus.SampleLatency folds a queue's
-	// counts into a caller-owned copy for exact quantiles at <=3.2%
-	// relative resolution. Useful standalone for any latency-shaped data.
+	// histogram: the live runner records every stamped packet's retrieval
+	// latency, the sim every MoonGen-style latency-tagged one, into one per
+	// queue on the bus (TelemetryBus.RecordLatency, one atomic add, zero
+	// allocations) and TelemetryBus.SampleLatency folds a queue's counts
+	// into a caller-owned copy for exact quantiles at <=3.2% relative
+	// resolution. Useful standalone for any latency-shaped data.
 	LatencyHistogram = stats.LogHistogram
 	// ElasticConfig tunes the control plane: control period, core budget,
 	// occupancy target, PI gains, hysteresis and cooldown.
