@@ -161,10 +161,9 @@ func tailCells(r armRun) []string {
 	return []string{r.name, at(0.5), at(0.99), at(0.999), at(0.9999), us(float64(h.Max()) * 1e-9)}
 }
 
-// tailsTable renders a figure's exact-histogram tail panel — per-packet
-// retrieval latency quantiles over the measured window, from the bus
-// histograms rather than the thinned reservoir sample — unless the
-// Options-level -hist override dropped the tail panels.
+// tailsTable renders a figure's exact-histogram tail panel — retrieval
+// latency quantiles over the measured window, from the bus histograms —
+// unless the Options-level -hist override dropped the tail panels.
 func tailsTable(o Options, id, title string, rows [][]string) []*Table {
 	if o.NoHist {
 		return nil

@@ -81,100 +81,39 @@ func (w *Welford) Merge(o *Welford) {
 	w.n = n
 }
 
-// Sample collects raw values for quantile estimation. Quantiles are exact
-// only while the sample is unbounded: once an optional cap (SetCap) has
-// triggered, the retained set is a uniform thinning of the stream, and
-// extreme tail quantiles (p99.9 and beyond) are reported by subsample luck
-// — a capped Sample holding 1/k of the stream has likely discarded the
-// true maximum. Readers that need exact tails should use LogHistogram,
-// which keeps every observation at a bounded (~3.1%) bucket resolution.
+// Sample collects raw values for quantile estimation: every Add is
+// retained, so quantiles are exact over what was added. Readers that need
+// bounded memory over long streams should use LogHistogram, which keeps
+// every observation at a bounded (~3.1%) bucket resolution.
 type Sample struct {
 	xs     []float64
 	sorted bool
-	capN   int
-	stride int // accept every stride-th Add after a thinning pass
-	skip   int // Adds discarded since the last accepted one
 }
 
-// SetCap bounds the number of retained values. When an Add (or Merge)
-// would grow the sample past the cap, every other retained value is
-// dropped and the acceptance stride doubles, so the retained set stays a
-// uniform subsample of the stream. n <= 0 removes the bound. Quantiles and
-// moments remain estimates of the same distribution; only their
-// resolution degrades.
-func (s *Sample) SetCap(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.capN = n
-	if n == 0 {
-		// Removing the bound must also stop the thinning, or the sample
-		// would keep discarding (stride-1)/stride of all future Adds.
-		s.stride, s.skip = 0, 0
-		return
-	}
-	s.enforceCap()
-}
-
-// Cap returns the configured retention bound (0 = unbounded).
-func (s *Sample) Cap() int { return s.capN }
-
-// Reset discards the retained values and any thinning state but keeps the
-// configured cap and the backing array, so a Reset+Merge cycle allocates
-// only when it outgrows the previous high-water mark — the reusable-buffer
-// contract core.Snapshot leans on.
+// Reset discards the retained values but keeps the backing array, so a
+// Reset+Merge cycle allocates only when it outgrows the previous
+// high-water mark — the reusable-buffer contract core.Snapshot leans on.
 func (s *Sample) Reset() {
 	s.xs = s.xs[:0]
 	s.sorted = false
-	s.stride, s.skip = 0, 0
 }
 
-// enforceCap thins the retained values to at most capN, doubling the
-// acceptance stride per halving pass.
-func (s *Sample) enforceCap() {
-	if s.capN <= 0 {
-		return
-	}
-	for len(s.xs) > s.capN {
-		kept := s.xs[:0]
-		for i := 0; i < len(s.xs); i += 2 {
-			kept = append(kept, s.xs[i])
-		}
-		s.xs = kept
-		if s.stride == 0 {
-			s.stride = 1
-		}
-		s.stride *= 2
-	}
-}
-
-// Add appends a value (subject to the thinning stride once a cap has
-// triggered).
+// Add appends a value.
 func (s *Sample) Add(x float64) {
-	if s.stride > 1 {
-		s.skip++
-		if s.skip < s.stride {
-			return
-		}
-		s.skip = 0
-	}
 	s.xs = append(s.xs, x)
 	s.sorted = false
-	s.enforceCap()
 }
 
 // Merge folds another sample's retained values into s in one append —
 // equivalent to Add-ing every element of o.Values() but without the
 // per-element bookkeeping. o is left usable (its values get sorted, which
-// Values does anyway). The thinning stride does not apply to merges; the
-// cap, if set, is re-enforced afterwards.
+// Values does anyway).
 func (s *Sample) Merge(o *Sample) {
 	if o == nil || len(o.xs) == 0 {
 		return
 	}
 	s.xs = append(s.xs, o.Values()...)
 	s.sorted = false
-	s.enforceCap()
 }
 
 // N returns the sample size.

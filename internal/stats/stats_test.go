@@ -290,68 +290,12 @@ func TestSampleMergeEmptyAndNil(t *testing.T) {
 	}
 }
 
-func TestSampleCapThinsUniformly(t *testing.T) {
-	var s Sample
-	s.SetCap(64)
-	for i := 0; i < 10000; i++ {
-		s.Add(float64(i))
-	}
-	if s.N() > 64 {
-		t.Fatalf("retained %d > cap 64", s.N())
-	}
-	if s.N() < 16 {
-		t.Fatalf("retained %d, over-thinned", s.N())
-	}
-	// The retained subsample still spans the stream and keeps its quantiles
-	// roughly in place (values were 0..9999 uniform).
-	if med := s.Quantile(0.5); med < 2500 || med > 7500 {
-		t.Errorf("median of thinned uniform stream = %v", med)
-	}
-	if s.Quantile(1) < 7500 {
-		t.Errorf("max of thinned stream = %v, tail lost", s.Quantile(1))
-	}
-	if s.Quantile(0) > 2500 {
-		t.Errorf("min of thinned stream = %v, head lost", s.Quantile(0))
-	}
-}
-
-func TestSampleCapOnMerge(t *testing.T) {
-	var big, s Sample
-	for i := 0; i < 1000; i++ {
-		big.Add(float64(i))
-	}
-	s.SetCap(100)
-	s.Merge(&big)
-	if s.N() > 100 {
-		t.Fatalf("merge overshot cap: %d", s.N())
-	}
-	if s.N() < 25 {
-		t.Fatalf("merge over-thinned: %d", s.N())
-	}
-}
-
 func TestSampleUncappedUnchanged(t *testing.T) {
 	var s Sample
 	for i := 0; i < 1000; i++ {
 		s.Add(float64(i))
 	}
-	if s.N() != 1000 || s.Cap() != 0 {
-		t.Fatalf("uncapped sample thinned: n=%d cap=%d", s.N(), s.Cap())
-	}
-}
-
-func TestSampleUncapResumesRetention(t *testing.T) {
-	var s Sample
-	s.SetCap(64)
-	for i := 0; i < 10000; i++ {
-		s.Add(float64(i))
-	}
-	s.SetCap(0)
-	before := s.N()
-	for i := 0; i < 1000; i++ {
-		s.Add(float64(10000 + i))
-	}
-	if s.N() != before+1000 {
-		t.Fatalf("after SetCap(0), %d of 1000 Adds retained", s.N()-before)
+	if s.N() != 1000 {
+		t.Fatalf("sample thinned: retained %d of 1000 Adds", s.N())
 	}
 }
