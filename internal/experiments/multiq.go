@@ -114,9 +114,9 @@ func runFig14(o Options) []*Table {
 	}
 	rows := parMap(o, len(pts), func(i int) []string {
 		p := pts[i]
-		_, mp, _ := Deploy(multiqueueSpec(o, p.nq, p.m, xl710Rate, d, uint64(900+p.nq*10+p.m)))
-		// ondemand: rerun at the governor's frequency fixed point.
 		procs, spec := multiqueueSpec(o, p.nq, p.m, xl710Rate, d, uint64(900+p.nq*10+p.m))
+		_, mp, _ := Deploy(procs, spec)
+		// ondemand: rerun at the governor's frequency fixed point.
 		mo, _, _ := governorPower(pc, power.Ondemand, procs, spec)
 		return []string{
 			fmt.Sprintf("%d", p.m),
